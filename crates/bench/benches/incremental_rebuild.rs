@@ -17,8 +17,9 @@
 //! faster** than the rebuild.
 //!
 //! Like `rpc_tree`, the worker binary is resolved via the library's own
-//! lookup; without it the bench prints a note and exits cleanly instead of
-//! failing (`cargo bench` does not build other crates' bin targets).
+//! lookup; without it the bench fails (exit 2) instead of reporting a
+//! skipped case (`cargo bench` does not build other crates' bin targets:
+//! build `pd-dist-worker` first or set `PD_DIST_WORKER_BIN`).
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure, Stats};
 use pd_core::BuildOptions;
@@ -28,12 +29,9 @@ use std::time::Duration;
 
 fn main() {
     let rows = pd_bench::rows_from_env_or(100_000);
-    if pd_dist::process::resolve_worker_bin(None).is_err() {
-        println!(
-            "NOTE: pd-dist-worker binary not found (build it or set PD_DIST_WORKER_BIN); \
-             skipping incremental_rebuild"
-        );
-        return;
+    if let Err(e) = pd_dist::process::resolve_worker_bin(None) {
+        eprintln!("incremental_rebuild: {e}");
+        std::process::exit(2);
     }
 
     // The §6 production recipe, shrunk with the dataset like `experiments`.

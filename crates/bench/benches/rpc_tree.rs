@@ -1,11 +1,12 @@
-//! The cost of the real §4 process split: in-process shard fan-out vs the
-//! RPC computation tree (spawned `pd-dist-worker` leaves + merge servers)
-//! over Unix sockets and loopback TCP, with frame compression on and off.
+//! The cost of the real §4 process split: the computation tree over local
+//! links (nodes on threads of this process) vs the same tree split across
+//! spawned `pd-dist-worker` leaves + merge servers over Unix sockets and
+//! loopback TCP, with frame compression on and off.
 //!
 //! Numbers per shard count and transport:
 //!
-//! 1. **tree build** — spawning, loading and wiring the worker processes
-//!    (the price the in-process cluster never pays);
+//! 1. **tree build** — starting, loading and wiring the nodes (threads
+//!    locally, processes otherwise);
 //! 2. **cold query** — first execution over each transport;
 //! 3. **warm query** — steady state, where the RPC gap isolates the wire:
 //!    serialization + framing + socket hops + worker queueing;
@@ -16,21 +17,26 @@
 //!    the bench-smoke CI job turns a regression into a red build).
 //!
 //! The worker binary is resolved like the library does (explicit env /
-//! sibling of the executable); when it is not built the RPC columns are
-//! skipped with a note instead of failing — `cargo bench` does not build
-//! other crates' bin targets. Worker processes sit in `ReapGuard`s inside
-//! the cluster's `ProcessTree`, so a panicking measurement reaps its
-//! children on unwind instead of leaking them into later suites.
+//! sibling of the executable); without it the bench fails (exit 2) rather
+//! than report skipped cases as fast ones — `cargo bench` does not build
+//! other crates' bin targets, so build `pd-dist-worker` first or set
+//! `PD_DIST_WORKER_BIN`. Worker processes sit in `ReapGuard`s inside the
+//! cluster's `ProcessTree`, so a panicking measurement reaps its children
+//! on unwind instead of leaking them into later suites.
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure_stats, TablePrinter};
 use pd_common::wire;
 use pd_compress::CodecKind;
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext};
-use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
+use pd_dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn main() {
+    if let Err(e) = pd_dist::process::resolve_worker_bin(None) {
+        eprintln!("rpc_tree: {e}");
+        std::process::exit(2);
+    }
     let rows = pd_bench::rows_from_env_or(100_000);
     let table = logs_table(rows);
     let mut build = BuildOptions::production(&["country", "table_name"]);
@@ -87,16 +93,8 @@ fn main() {
         compressed.len()
     );
 
-    let worker_available = pd_dist::process::resolve_worker_bin(None).is_ok();
-    if !worker_available {
-        println!(
-            "NOTE: pd-dist-worker binary not found (build it or set PD_DIST_WORKER_BIN); \
-             skipping the rpc columns"
-        );
-    }
-
     let transports: Vec<(&str, Transport)> = vec![
-        ("in-process", Transport::InProcess),
+        ("local", Transport::InProcess),
         ("unix", rpc(WorkerAddr::Unix, false)),
         ("unix+z", rpc(WorkerAddr::Unix, true)),
         ("tcp", rpc(WorkerAddr::loopback(), false)),
@@ -111,9 +109,6 @@ fn main() {
     );
     for &shards in shard_counts {
         for (transport_name, transport) in &transports {
-            if !matches!(transport, Transport::InProcess) && !worker_available {
-                continue;
-            }
             let config = ClusterConfig {
                 shards,
                 replication: false,
@@ -157,7 +152,7 @@ fn main() {
     // payloads measured above) never cross a socket at all. The
     // bytes-not-shipped figure uses a *measured* representative leaf
     // partial: the same query executed over one shard's worth of rows.
-    if worker_available {
+    {
         let shards = 8usize;
         let leaf_rows = {
             let mut sub = pd_data::Table::new(table.schema().clone());
@@ -224,7 +219,7 @@ fn main() {
     // value-space zone maps prune here, so the layered cluster must scan
     // strictly fewer rows than the shard-only pruner for a bit-identical
     // result — measured over compressed TCP, the multi-host transport.
-    if worker_available {
+    {
         // Mid-envelope window over the `logs.<team>.<dataset>_<k>` names:
         // maps/revenue teams, with ads..youtube neighbours on both sides.
         let drill = "SELECT table_name, COUNT(*) as c, SUM(latency) as s FROM logs \
@@ -300,13 +295,15 @@ fn main() {
         json_line("rpc_tree", "shard_only_drilldown", shard_stats, &[]);
     }
 
-    // Hedged replica racing vs a real straggling primary process: shard
-    // 0's primary sleeps far past the hedge delay every query, so the
-    // replica answers the race and end-to-end latency stays well under the
-    // injected straggle — the old per-hop-deadline design would have
-    // waited the whole deadline out instead.
-    if worker_available {
-        let straggle = Duration::from_millis(800);
+    // Hedged replica racing vs a straggling primary: shard 0's primary
+    // answers every query `straggle` late (a chaos delay emitted on every
+    // query), so the replica answers the race and end-to-end latency stays
+    // well under the straggle — the loser's sleep is cut short on either
+    // link.
+    let straggle = Duration::from_millis(800);
+    for (link, transport) in
+        [("local", Transport::InProcess), ("unix", rpc(WorkerAddr::Unix, false))]
+    {
         let config = ClusterConfig {
             shards: 2,
             replication: true,
@@ -314,18 +311,21 @@ fn main() {
             threads: 1,
             tree: TreeShape { fanout: 4 },
             build: build.clone(),
-            transport: rpc(WorkerAddr::Unix, false),
+            transport,
             ..Default::default()
         };
-        let cluster = Cluster::build(&table, &config).expect("hedged cluster");
+        let mut cluster = Cluster::build(&table, &config).expect("hedged cluster");
         // One healthy query first: the hedge delay then derives from the
         // *measured* queue-delay tail instead of the cold-start fallback.
         cluster.query(sql).expect("healthy warm-up");
-        cluster.inject_worker_delay(0, straggle).expect("delay knob");
+        cluster.set_chaos(ChaosModel {
+            delay_nodes: vec![("l0p".into(), straggle)],
+            ..Default::default()
+        });
         let outcome = cluster.query(sql).expect("hedged query");
         assert!(
             outcome.hedges.contains(&0),
-            "the straggling primary must be recorded as hedged: {:?}",
+            "{link}: the straggling primary must be recorded as hedged: {:?}",
             outcome.hedges
         );
         let hedged_stats = measure_stats(3, || {
@@ -333,19 +333,24 @@ fn main() {
         });
         assert!(
             hedged_stats.median < straggle,
-            "hedged latency must beat the injected straggler delay: {} vs {}",
+            "{link}: hedged latency must beat the injected straggler delay: {} vs {}",
             fmt_duration(hedged_stats.median),
             fmt_duration(straggle),
         );
         println!(
-            "\n=== hedged straggler (2 shards, replicated; shard 0's primary sleeps {}) ===\n\
+            "\n=== hedged straggler ({link}; 2 shards, replicated; shard 0's primary {} late) ===\n\
              hedged query {} — the replica answers long before the straggler would",
             fmt_duration(straggle),
             fmt_duration(hedged_stats.median),
         );
+        let case = if link == "unix" {
+            "hedged_straggler".to_owned()
+        } else {
+            format!("hedged_straggler/{link}")
+        };
         json_line(
             "rpc_tree",
-            "hedged_straggler",
+            &case,
             hedged_stats,
             &[
                 ("straggle_ms", straggle.as_millis().to_string()),

@@ -47,7 +47,10 @@ use std::time::Duration;
 /// Version 5: the streaming-append protocol — `Append` requests carrying
 /// self-contained dictionary-delta tables (`pd_encoding::TableDelta`),
 /// applied in place by leaf workers without a respawn.
-pub const FRAME_VERSION: u8 = 5;
+/// Version 6: the `Delay` request is retired (persistent stragglers are
+/// chaos directives), and addresses gain the `local:` form naming nodes on
+/// a thread of the driver's process.
+pub const FRAME_VERSION: u8 = 6;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

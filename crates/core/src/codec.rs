@@ -15,8 +15,8 @@
 //!   merge above the wire equals a merge below it.
 //!
 //! [`BuildOptions`] is codable too: the driver ships each worker its shard
-//! rows *and* the import recipe, so a worker builds exactly the store the
-//! in-process cluster would have built.
+//! rows *and* the import recipe, so a worker process builds exactly the
+//! store a local tree node builds from the same request.
 
 use crate::count_distinct::KmvSketch;
 use crate::exec::{AggState, PartialResult};

@@ -266,24 +266,6 @@ impl PartialResult {
             })
             .sum()
     }
-
-    /// Merge another partial by reference, leaving `other` reusable — the
-    /// shard-level result cache merges its cached partials this way.
-    pub fn merge_ref(&mut self, other: &PartialResult) -> Result<()> {
-        for (key, states) in &other.groups {
-            match self.groups.entry(key.clone()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states.clone());
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Parse, analyze and execute a SQL string against a store.

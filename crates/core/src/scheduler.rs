@@ -201,7 +201,7 @@ impl WorkerPool {
                     break;
                 }
                 match self.shared.pop() {
-                    Some(job) => run_stolen(job),
+                    Some(job) => job(),
                     None => {
                         let remaining = group.remaining.lock();
                         if *remaining == 0 {
@@ -260,30 +260,6 @@ thread_local! {
     /// never sleep while waiting for a fan-out (they steal queued jobs
     /// instead), or nested fan-outs could deadlock the fixed-size pool.
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-
-    /// Monotone per-thread total of time spent executing *stolen* jobs —
-    /// work this thread drained from the queue while waiting for its own
-    /// fan-out. Callers timing their own work with wall clocks subtract
-    /// the delta (see [`stolen_time`]), so a task's measured latency is
-    /// not inflated by whole foreign subqueries it happened to help with.
-    static STOLEN_TIME: std::cell::Cell<Duration> = const { std::cell::Cell::new(Duration::ZERO) };
-}
-
-/// This thread's cumulative stolen-job time. Snapshot before and after a
-/// timed region and subtract the delta from the wall-clock measurement.
-pub fn stolen_time() -> Duration {
-    STOLEN_TIME.with(std::cell::Cell::get)
-}
-
-/// Run a stolen job, charging its wall time to [`STOLEN_TIME`] exactly
-/// once: nested steals inside the job already charged themselves, so the
-/// cell is *set* to `before + wall` rather than incremented (wall time
-/// subsumes the nested additions).
-fn run_stolen(job: Job) {
-    let before = STOLEN_TIME.with(std::cell::Cell::get);
-    let started = std::time::Instant::now();
-    job();
-    STOLEN_TIME.with(|cell| cell.set(before + started.elapsed()));
 }
 
 fn worker_loop(shared: &PoolShared) {

@@ -1,4 +1,4 @@
-//! Seeded, rpc-level fault injection for the §4 computation tree.
+//! Seeded, link-level fault injection for the §4 computation tree.
 //!
 //! The [`crate::FailureModel`] kill switch only models one failure shape —
 //! a primary that never answers. Real trees fail in more ways: connections
@@ -8,17 +8,16 @@
 //! seeded per-(query, node) stream, so a failing run replays bit-for-bit
 //! from its seed.
 //!
-//! The injection point is the wire itself. The driver draws at most one
+//! The injection point is the link itself. The driver draws at most one
 //! [`ChaosFault`] per tree node per query and ships the resulting
-//! [`ChaosDirective`]s inside the `QueryRequest`; each worker applies only
+//! [`ChaosDirective`]s inside the `QueryRequest`; each node applies only
 //! the directives naming *its own* node name (assigned at `Load`/`Attach`)
-//! and forwards the full list to its children. Faults therefore fire
-//! inside real worker processes, on real sockets — the caller-side
-//! robustness machinery (typed errors, hedged replica racing, budget
-//! expiry) is exercised against genuine transport wreckage, not mocks.
-//!
-//! Chaos only has effect over [`crate::Transport::Rpc`]: the in-process
-//! cluster has no wire to sabotage, and its directives are never drawn.
+//! and forwards the full list to its children. Faults fire on whichever
+//! link reaches the node, with the same observable result: over sockets a
+//! worker process really exits or wrecks its reply frame, and over a local
+//! link the node's executor ends or its reply is delivered as the same
+//! typed fault. The caller-side robustness machinery (typed errors, hedged
+//! replica racing, budget expiry) is exercised against either.
 
 use pd_common::rng::Rng;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -37,16 +36,16 @@ pub struct ChaosDirective {
 /// The fault shapes a worker can inject, roughly ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosFault {
-    /// Exit the worker process mid-query, before any reply byte: the
-    /// parent sees the connection die (`PeerGone`) exactly as it would on
-    /// a real crash.
+    /// End the node mid-query, before any reply: the parent sees the
+    /// connection die (`PeerGone`) exactly as it would on a real crash,
+    /// and later calls are refused.
     Kill,
     /// Close the connection without replying — a reset mid-conversation.
     Reset,
     /// Write a truncated reply frame, then close: torn bytes on the wire.
     Torn,
-    /// Delay the reply by this much (service time of that query alone,
-    /// like the `Delay` test knob).
+    /// Delay the reply by this much — service time of that query alone,
+    /// slept after the node's executor has moved on.
     Delay(Duration),
 }
 
@@ -99,7 +98,7 @@ impl Decode for ChaosDirective {
 /// scheduling, so equal seeds and query sequences inject equal faults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosModel {
-    /// Seed for every draw; independent of the load/failure streams.
+    /// Seed for every draw; independent of the failure stream.
     pub seed: u64,
     /// Per-(query, node) probability of a mid-query process kill.
     pub kill_probability: f64,
@@ -115,12 +114,16 @@ pub struct ChaosModel {
     /// counterpart of [`crate::FailureModel::kill_primaries`], but aimable
     /// at any tree node, merge servers included.
     pub kill_nodes: Vec<String>,
+    /// Node names delayed by the given time on *every* query — persistent
+    /// stragglers, the delay counterpart of `kill_nodes`.
+    pub delay_nodes: Vec<(String, Duration)>,
 }
 
 impl ChaosModel {
     /// Whether any draw can ever produce a fault.
     pub fn is_active(&self) -> bool {
         !self.kill_nodes.is_empty()
+            || !self.delay_nodes.is_empty()
             || self.kill_probability > 0.0
             || self.reset_probability > 0.0
             || self.torn_probability > 0.0
@@ -143,8 +146,11 @@ impl ChaosModel {
         }
         let mut directives = Vec::new();
         for node in nodes {
+            let straggle = self.delay_nodes.iter().find(|(name, _)| name == node);
             let fault = if self.kill_nodes.contains(node) {
                 Some(ChaosFault::Kill)
+            } else if let Some(&(_, delay)) = straggle {
+                Some(ChaosFault::Delay(delay))
             } else {
                 let mut rng = self.node_stream(qid, node);
                 // Fixed draw order: each probability consumes its stream
@@ -227,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_nodes_fire_every_query_and_inactive_models_draw_nothing() {
+    fn kill_and_delay_nodes_fire_every_query_and_inactive_models_draw_nothing() {
         let model = ChaosModel { kill_nodes: vec!["m1_0".into()], ..Default::default() };
         for qid in 0..5 {
             assert_eq!(
@@ -238,5 +244,16 @@ mod tests {
         assert!(ChaosModel::default().draw(0, &nodes()).is_empty());
         assert!(!ChaosModel::default().is_active());
         assert!(model.is_active());
+        let straggler = Duration::from_secs(20);
+        let model = ChaosModel { delay_nodes: vec![("l1p".into(), straggler)], ..model };
+        for qid in 0..5 {
+            assert_eq!(
+                model.draw(qid, &nodes()),
+                vec![
+                    ChaosDirective { node: "l1p".into(), fault: ChaosFault::Delay(straggler) },
+                    ChaosDirective { node: "m1_0".into(), fault: ChaosFault::Kill },
+                ]
+            );
+        }
     }
 }

@@ -1,83 +1,71 @@
-//! Sharded query execution with concurrent fan-out, shard-result caching
-//! and modeled server load (§4).
+//! Sharded query execution over the §4 computation tree.
 //!
 //! §4: *"In a first step the server importing the data splits it into X
 //! partitions. [...] such a query can be 'parallelized over rows' by
 //! sending the query to all machines, each machine executing it on its
 //! part of the data, and then merging the results."* — [`Cluster::query`]
-//! does exactly that, and the fan-out is *actually concurrent*: shard
-//! subqueries run as tasks on the shared [`pd_core::scheduler`] worker
-//! pool (the same pool the per-shard chunk scans use — waiting fan-outs
-//! help drain the queue, so the nesting cannot deadlock). Partials are
-//! folded in fixed shard order and every aggregation state merges
-//! associatively (float sums are exact superaccumulators), so the merged
-//! result is bit-identical to the single-store engine at any shard count,
-//! thread count or cache configuration.
+//! does exactly that over one tree ([`ProcessTree`]): leaf nodes per shard
+//! replica, merge servers once the shard count exceeds the
+//! [`TreeShape`] fanout, and the driver as the root. Partials are folded
+//! in fixed child order and every aggregation state merges associatively
+//! (float sums are exact superaccumulators), so the merged result is
+//! bit-identical to the single-store engine at any shard count, fanout,
+//! thread count or cache configuration. [`Transport`] only picks where the
+//! tree's nodes run — threads of this process or worker processes — and
+//! so which link reaches them; it is read once, when the tree is built.
 //!
 //! §4 also describes why replication matters: *"it is quite common that
 //! single machines can temporarily become slow [...] we send the query to
 //! both machines holding a partition and take the answer arriving first."*
-//! [`LoadModel`] draws those slow-downs per subquery; with
-//! [`ClusterConfig::replication`] the faster of two draws wins. Going
-//! beyond stragglers, [`FailureModel`] injects *failures*: a primary
-//! killed mid-fan-out falls back to its replication peer (recorded in
-//! [`QueryOutcome::failovers`]), or fails the query when replication is
-//! off. All draws derive from seeded per-(query, shard, replica) streams,
-//! so every outcome — delays, failures, failovers — is reproducible
-//! regardless of worker scheduling.
+//! With [`ClusterConfig::replication`] every leaf has a replica node, and
+//! slow primaries are *hedged*: after a delay derived from the observed
+//! queue-delay p95 the replica is raced in parallel and the first answer
+//! wins ([`QueryOutcome::hedges`]). [`FailureModel`] injects primary kills,
+//! which fail over to the replica ([`QueryOutcome::failovers`]) or fail
+//! the query when replication is off, and [`FailureModel::chaos`] drives
+//! the seeded fault injector ([`crate::ChaosModel`]): kills, resets, torn
+//! replies and delays, aimable at any tree node including merge servers.
+//! All draws derive from seeded per-(query, node) streams, so every
+//! injected fault is reproducible regardless of scheduling; latencies are
+//! measured.
 //!
-//! Robustness over RPC is budgeted end to end. Every query spends one
-//! [`RpcConfig::budget`] across the whole tree (each node decrements it by
-//! its own queue delay before fanning out, and an exhausted budget is a
-//! typed [`pd_common::RpcError::Deadline`], not a hang). Slow primaries
-//! are *hedged*: after a delay derived from the observed queue-delay p95
-//! the replica is raced in parallel and the first answer wins
-//! ([`QueryOutcome::hedges`]). [`AdmissionConfig`] bounds how many queries
-//! run concurrently — excess load is shed with a typed
-//! [`pd_common::RpcError::Overloaded`] *before* it can pile onto already
-//! saturated workers (the limit halves while the observed queue p95 sits
-//! above the saturation threshold). And [`FailureModel::chaos`] drives the
-//! seeded rpc-level fault injector ([`crate::ChaosModel`]) used by the
-//! chaos harness: kills, resets, torn frames and delays, aimable at any
-//! tree node including merge servers.
+//! Every query spends one end-to-end budget across the whole tree (each
+//! node decrements it by its own queue delay before fanning out, and an
+//! exhausted budget is a typed [`pd_common::RpcError::Deadline`], not a
+//! hang). [`AdmissionConfig`] bounds how many queries run concurrently —
+//! excess load is shed with a typed [`pd_common::RpcError::Overloaded`]
+//! *before* it can pile onto already saturated nodes (the limit halves
+//! while the observed queue p95 sits above the saturation threshold).
 
 use crate::chaos::ChaosModel;
-use crate::process::{resolve_worker_bin, ProcessTree, TreeConfig, WorkerAddr};
-use crate::shard_cache::{query_signature, ShardCache, ShardEntry};
+use crate::process::{resolve_worker_bin, Placement, ProcessTree, TreeConfig, WorkerAddr};
 use pd_common::rng::Rng;
 use pd_common::sync::Mutex;
 use pd_common::{Error, RpcError, Value};
-use pd_core::{
-    execute_partial, finalize, scheduler, BuildOptions, CachePolicy, DataStore, ExecContext,
-    PartialResult, QueryResult, ResultCache, ScanStats, TieredCache,
-};
+use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{analyze, parse_query, AnalyzedQuery};
+use pd_sql::{analyze, parse_query};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where the computation tree's nodes live.
+/// Where the computation tree's nodes run. Either way it is the same tree
+/// — pruning, node caches, merge levels, hedging and budgets — only the
+/// link between a parent and its children differs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Transport {
-    /// Every shard executes inside the driver's address space (tasks on
-    /// the shared worker pool); merge "hops" are latency arithmetic.
+    /// Every node runs on a thread of the driver's process, and links hand
+    /// requests to a node's executor queue without encoding them. Queries
+    /// spend [`RpcConfig::default`]'s budget.
     #[default]
     InProcess,
     /// The paper's real topology: one `pd-dist-worker` OS process per
     /// shard replica plus spawned merge servers, talking the
     /// [`crate::rpc`] protocol over Unix sockets ([`WorkerAddr::Unix`])
     /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), with optionally
-    /// compressed frames. Subquery latencies and queue delays in
-    /// [`QueryOutcome`] are then *measured*, not drawn from the seeded
-    /// [`LoadModel`], and a worker that exhausts the query's
-    /// [`RpcConfig::budget`] fails over exactly like a [`FailureModel`]
-    /// kill. Queries travel as
-    /// decoded restrictions, so any tree node pre-skips subtrees whose
-    /// shard metadata cannot match ([`pd_core::ScanStats::subtrees_pruned`]).
+    /// compressed frames.
     Rpc(RpcConfig),
 }
 
@@ -92,8 +80,7 @@ pub struct RpcConfig {
     /// each node decrements the remaining budget by its own queue delay
     /// before fanning out, an exhausted budget is a typed
     /// [`pd_common::RpcError::Deadline`], and the driver enforces it
-    /// absolutely at the root. (Replaces the old fixed per-hop deadline,
-    /// which multiplied by tree depth.)
+    /// absolutely at the root.
     pub budget: Duration,
     /// Socket shape the workers listen on: `Unix` (single box) or
     /// `Tcp { host }` with one ephemeral port per worker.
@@ -142,37 +129,6 @@ impl TreeShape {
     }
 }
 
-/// Random per-subquery slow-downs modeling busy / blocked servers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadModel {
-    /// Probability that a server is "heavily loaded" (a few ms extra).
-    pub busy_probability: f64,
-    /// Probability that a server is "blocked, e.g., by a disk read of
-    /// another process" (tens to hundreds of ms extra).
-    pub blocked_probability: f64,
-    /// RNG seed; equal configurations draw identical delay streams.
-    pub seed: u64,
-}
-
-impl Default for LoadModel {
-    fn default() -> Self {
-        LoadModel { busy_probability: 0.0, blocked_probability: 0.0, seed: 0 }
-    }
-}
-
-impl LoadModel {
-    /// One server's extra delay for one subquery.
-    fn draw(&self, rng: &mut Rng) -> Duration {
-        if self.blocked_probability > 0.0 && rng.chance(self.blocked_probability) {
-            Duration::from_micros(rng.range_u64(30_000, 150_000))
-        } else if self.busy_probability > 0.0 && rng.chance(self.busy_probability) {
-            Duration::from_micros(rng.range_u64(1_000, 6_000))
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
 /// Deterministic, seeded failure injection for shard primaries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FailureModel {
@@ -182,12 +138,11 @@ pub struct FailureModel {
     /// Shard indices whose primary *always* fails — the deterministic
     /// kill switch for failover tests.
     pub kill_primaries: Vec<usize>,
-    /// Seed for the failure draws; independent of the load-model stream.
+    /// Seed for the failure draws; independent of the chaos stream.
     pub seed: u64,
-    /// Rpc-level fault injection (RPC transport only): seeded draws of
-    /// process kills, connection resets, torn reply frames and delays,
-    /// targeting *any* tree node by name — merge servers included. The
-    /// inactive default injects nothing.
+    /// Link-level fault injection: seeded draws of node kills, connection
+    /// resets, torn replies and delays, targeting *any* tree node by name
+    /// — merge servers included. The inactive default injects nothing.
     pub chaos: ChaosModel,
 }
 
@@ -196,23 +151,27 @@ impl FailureModel {
         if self.kill_primaries.contains(&shard) {
             return true;
         }
-        self.primary_fail_probability > 0.0
-            && stream(self.seed, qid, shard as u64, ROLE_FAILURE)
-                .chance(self.primary_fail_probability)
+        if self.primary_fail_probability <= 0.0 {
+            return false;
+        }
+        // A deterministic per-(seed, query, shard) stream.
+        let mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
+        let mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard as u64);
+        Rng::seed_from_u64(mix).chance(self.primary_fail_probability)
     }
 }
 
 /// Admission control at the driver: bound how many queries run at once
-/// instead of letting excess load pile onto saturated workers.
+/// instead of letting excess load pile onto saturated nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum concurrently admitted queries; `0` disables admission
     /// control entirely (the default — single-caller tests and benches
     /// never shed).
     pub max_in_flight: usize,
-    /// Saturation threshold: while the p95 of recently observed worker
+    /// Saturation threshold: while the p95 of recently observed node
     /// queue delays is at or above this, the effective in-flight limit is
-    /// halved — the cluster sheds *harder* exactly when the workers are
+    /// halved — the cluster sheds *harder* exactly when the nodes are
     /// already behind.
     pub saturation_queue: Duration,
 }
@@ -228,38 +187,33 @@ impl Default for AdmissionConfig {
 pub struct ClusterConfig {
     /// Number of data shards (the paper's X partitions).
     pub shards: usize,
-    /// Send every subquery to a primary *and* a replica, taking the faster
-    /// answer (§4's straggler mitigation) and surviving primary failures.
+    /// Give every shard a replica node: slow primaries are hedged against
+    /// it (§4's straggler mitigation) and dead ones fail over to it.
     pub replication: bool,
     /// Import options for each shard's store.
     pub build: BuildOptions,
     /// Total byte budget for the uncompressed cache layer, split across
     /// shards (the compressed layer gets half of that again).
     pub cache_budget: usize,
-    /// Server load fluctuation model.
-    pub load: LoadModel,
-    /// Primary-failure injection model.
+    /// Primary-failure and chaos injection.
     pub failures: FailureModel,
-    /// Computation-tree shape for the merge-latency model.
+    /// The computation tree's shape: children per merge server.
     pub tree: TreeShape,
-    /// Worker threads for the shard fan-out and each shard's chunk scan
-    /// (0 = `EXEC_THREADS` / available parallelism).
+    /// Worker threads for each leaf's chunk scan (0 = `EXEC_THREADS` /
+    /// available parallelism).
     pub threads: usize,
-    /// Capacity (entries) of the shard-level result caching; 0 disables
-    /// it. In-process this is the root's per-(signature, shard) cache;
-    /// over RPC it is the capacity of **every tree node's own result
-    /// cache** (leaf and merge-server processes alike), so a warm
-    /// drill-down answers from the nearest node that remembers the
-    /// signature — with zero child hops below it.
+    /// Capacity (entries) of **every tree node's own result cache** (leaf
+    /// and merge server alike); 0 disables them. A warm drill-down answers
+    /// from the nearest node that remembers the signature — with zero
+    /// child hops below it.
     pub shard_cache: usize,
-    /// Where the computation tree runs: in the driver's address space or
-    /// split across worker processes.
+    /// Where the tree's nodes run, which picks the link between them.
     pub transport: Transport,
     /// Driver-side admission control: shed queries beyond the in-flight
     /// budget with a typed [`pd_common::RpcError::Overloaded`].
     pub admission: AdmissionConfig,
     /// Use chunk-granular metadata (per-chunk zone maps shipped in the
-    /// `Loaded` acks) for RPC-tree pruning and leaf scan seeding. On by
+    /// `Loaded` acks) for tree pruning and leaf scan seeding. On by
     /// default; turning it off falls back to shard-granular pruning only.
     /// Results are bit-identical either way — only the work moves.
     pub chunk_pruning: bool,
@@ -272,7 +226,6 @@ impl Default for ClusterConfig {
             replication: true,
             build: BuildOptions::default(),
             cache_budget: 256 << 20,
-            load: LoadModel::default(),
             failures: FailureModel::default(),
             tree: TreeShape::default(),
             threads: 0,
@@ -284,39 +237,26 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One shard: a store plus its caches.
-struct Shard {
-    store: DataStore,
-    ctx: ExecContext,
-}
-
 /// The §4 single-datacenter model: X shards + a computation tree.
 pub struct Cluster {
-    /// In-process shards (empty under [`Transport::Rpc`]).
-    shards: Vec<Shard>,
-    /// The live worker-process tree (RPC transport only).
-    tree: Option<ProcessTree>,
+    tree: ProcessTree,
     config: ClusterConfig,
-    shard_cache: Option<ShardCache>,
     /// Monotonically increasing rebuild epoch. Every `Load`/`Attach`/
-    /// `Query` over RPC carries it; a worker that sees it advance drops
-    /// its result cache — the distributed form of the root cache's
-    /// rebuild invalidation.
+    /// `Query` carries it; a node that sees it advance drops its result
+    /// cache.
     epoch: AtomicU64,
-    /// Per-query sequence number: the deterministic axis of every load /
-    /// failure draw (draws depend on (seed, query, shard, replica), never
-    /// on worker scheduling).
+    /// Per-query sequence number: the deterministic axis of every failure
+    /// and chaos draw (draws depend on (seed, query, node), never on
+    /// scheduling).
     queries: AtomicU64,
-    /// Per-shard `(total queue delay, samples)` measured by worker
-    /// processes — the observation stream that replaces [`LoadModel`]
-    /// draws under the RPC transport.
+    /// Per-shard `(total queue delay, samples)` measured by the nodes.
     observed_queue: Mutex<Vec<(Duration, u64)>>,
-    /// The most recent worker queue-delay samples (capped ring of
+    /// The most recent node queue-delay samples (capped ring of
     /// `(when observed, delay)`), feeding two adaptive policies: the hedge
     /// delay (p95-derived — hedge as soon as a primary looks slower than
     /// the cluster's recent tail) and the admission saturation check.
     /// Samples older than [`RECENT_QUEUE_TTL`] are expired on read: a
-    /// queue spike must stop shedding once the workers have drained, even
+    /// queue spike must stop shedding once the nodes have drained, even
     /// if no fresh sample has displaced it from the ring.
     recent_queue: Mutex<VecDeque<(Instant, Duration)>>,
     /// Queries currently admitted (only tracked when admission control is
@@ -331,7 +271,7 @@ const RECENT_QUEUE_CAP: usize = 256;
 
 /// How long a queue-delay sample stays relevant. A burst that filled the
 /// ring with 400ms delays describes the cluster *then*; ten seconds later
-/// those processes have long drained and the estimates must forget them
+/// those nodes have long drained and the estimates must forget them
 /// rather than keep halving admission against a load that no longer
 /// exists.
 const RECENT_QUEUE_TTL: Duration = Duration::from_secs(10);
@@ -355,8 +295,8 @@ impl Drop for AdmitPermit<'_> {
 pub struct AppendOutcome {
     /// Rows appended across all shards.
     pub rows: u64,
-    /// Serialized `Append` request bytes shipped to workers (primaries and
-    /// replicas). 0 in-process — nothing crosses a wire.
+    /// Serialized `Append` frame bytes sent to the leaves (primaries and
+    /// replicas).
     pub bytes_shipped: u64,
 }
 
@@ -366,68 +306,30 @@ pub struct QueryOutcome {
     pub result: QueryResult,
     /// Scan statistics summed over all shards.
     pub stats: ScanStats,
-    /// Modeled end-to-end latency: slowest subquery + tree merge time.
+    /// Measured end-to-end latency: the whole fan-out (every merge level
+    /// included) plus the root's finalize.
     pub latency: Duration,
-    /// Modeled per-shard subquery latencies.
+    /// Per-shard latencies, measured by each leaf's parent around its
+    /// call (transport, queueing and hedging included).
     pub subquery_latencies: Vec<Duration>,
     /// Shards whose primary failed and whose replica answered.
     pub failovers: Vec<usize>,
     /// Shards whose primary outlived the hedge delay and was raced against
-    /// its replica (RPC transport; whichever answer arrived first won).
-    /// Always empty in-process, where replication is modeled as the faster
-    /// of two load draws instead.
+    /// its replica (whichever answer arrived first won).
     pub hedges: Vec<usize>,
-    /// Shards served from the driver root's shard-level result cache
-    /// (in-process transport).
-    pub shard_cache_hits: usize,
-    /// Per-shard *measured* time the subquery spent queued inside worker
-    /// processes (leaf + every merge server above it). All zeros for the
-    /// in-process transport, whose queueing is invisible inside the shared
-    /// pool.
+    /// Per-shard measured time the subquery spent queued inside nodes
+    /// (leaf + every merge server above it).
     pub queue_delays: Vec<Duration>,
 }
 
 impl QueryOutcome {
-    /// Tree nodes (worker processes — leaves or merge servers) that
-    /// answered this query from their own result cache, aggregated up the
-    /// tree (RPC transport; always 0 in-process, where the root's
-    /// [`ShardCache`] plays that role and reports
-    /// [`QueryOutcome::shard_cache_hits`]). Derived from the aggregated
-    /// [`ScanStats`], the single source of truth the workers report into.
+    /// Tree nodes (leaves or merge servers) that answered this query from
+    /// their own result cache, aggregated up the tree. Derived from the
+    /// aggregated [`ScanStats`], the single source of truth the nodes
+    /// report into.
     pub fn worker_cache_hits(&self) -> usize {
         self.stats.worker_cache_hits
     }
-}
-
-/// One shard's answer, as produced by a fan-out task. All shared-state
-/// mutation (stats accounting, cache admission) happens later, on the
-/// driver, in shard order.
-enum ShardAnswer {
-    /// Served from the shard-level result cache.
-    Cached(Arc<ShardEntry>),
-    /// Freshly computed (primary or replica). `compute` is the measured
-    /// scan time (help-stolen time excluded) — the recompute cost the
-    /// shard cache scores admission by.
-    Computed { partial: PartialResult, stats: ScanStats, compute: Duration },
-}
-
-struct SubqueryScan {
-    answer: ShardAnswer,
-    latency: Duration,
-    failover: bool,
-}
-
-const ROLE_PRIMARY: u64 = 0;
-const ROLE_REPLICA: u64 = 1;
-const ROLE_FAILURE: u64 = 2;
-
-/// A deterministic per-(seed, query, shard, role) RNG stream.
-fn stream(seed: u64, qid: u64, shard: u64, role: u64) -> Rng {
-    let mut mix = seed;
-    mix = mix.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
-    mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard);
-    mix = mix.wrapping_mul(0x94D0_49BB_1331_11EB).wrapping_add(role);
-    Rng::seed_from_u64(mix)
 }
 
 impl Cluster {
@@ -438,20 +340,10 @@ impl Cluster {
     /// benefits from.
     pub fn build(table: &Table, config: &ClusterConfig) -> pd_common::Result<Cluster> {
         let epoch = 1u64;
-        let (shards, tree) = match &config.transport {
-            Transport::InProcess => (Self::build_shards(table, config)?, None),
-            Transport::Rpc(rpc) => (Vec::new(), Some(Self::build_tree(table, config, rpc, epoch)?)),
-        };
-        let shard_count = tree.as_ref().map_or(shards.len(), ProcessTree::shard_count);
+        let tree = Self::build_tree(table, config, epoch)?;
+        let shard_count = tree.shard_count();
         Ok(Cluster {
-            shards,
             tree,
-            // Per-shard caching over RPC is the workers' job: every tree
-            // node holds its own result cache (capacity shipped at
-            // Load/Attach), so the root — which only sees subtree merges —
-            // does not duplicate it.
-            shard_cache: (config.shard_cache > 0 && config.transport == Transport::InProcess)
-                .then(|| ShardCache::new(config.shard_cache)),
             config: config.clone(),
             epoch: AtomicU64::new(epoch),
             queries: AtomicU64::new(0),
@@ -462,14 +354,7 @@ impl Cluster {
         })
     }
 
-    /// How many shards `table` splits into under `config`.
-    fn split_count(table: &Table, config: &ClusterConfig) -> usize {
-        config.shards.clamp(1, table.len().max(1))
-    }
-
-    /// Shard `s`'s contiguous sub-table — the *same* row assignment for
-    /// both transports, so switching transports can never re-partition
-    /// the data.
+    /// Shard `s`'s contiguous sub-table (of `shard_count`).
     fn shard_table(table: &Table, s: usize, shard_count: usize) -> pd_common::Result<Table> {
         let n = table.len();
         let lo = n * s / shard_count;
@@ -481,58 +366,41 @@ impl Cluster {
         Ok(sub)
     }
 
-    fn per_shard_budget(config: &ClusterConfig, shard_count: usize) -> usize {
-        (config.cache_budget / shard_count.max(1)).max(1 << 16)
-    }
-
-    fn build_shards(table: &Table, config: &ClusterConfig) -> pd_common::Result<Vec<Shard>> {
-        let shard_count = Self::split_count(table, config);
-        let per_shard_budget = Self::per_shard_budget(config, shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            // Build then drop each sub-table: the in-process path never
-            // holds more than one shard's row copy at a time.
-            let sub = Self::shard_table(table, s, shard_count)?;
-            let store = DataStore::build(&sub, &config.build)?;
-            let ctx = ExecContext {
-                sketch_m: 0,
-                threads: config.threads,
-                result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-                tiered: Some(Arc::new(TieredCache::new(
-                    CachePolicy::Arc,
-                    per_shard_budget,
-                    per_shard_budget / 2,
-                ))),
-                kernels: Default::default(),
-            };
-            shards.push(Shard { store, ctx });
-        }
-        Ok(shards)
-    }
-
-    /// Spawn the worker-process tree for the same shard split.
+    /// Build the tree for `table`'s shard split. The one place the
+    /// transport is read: it picks the placement (and so the link), never
+    /// the tree.
     fn build_tree(
         table: &Table,
         config: &ClusterConfig,
-        rpc: &RpcConfig,
         epoch: u64,
     ) -> pd_common::Result<ProcessTree> {
-        let shard_count = Self::split_count(table, config);
+        let shard_count = config.shards.clamp(1, table.len().max(1));
+        let (placement, rpc) = match &config.transport {
+            Transport::InProcess => {
+                (Placement::Local, RpcConfig { compress: false, ..RpcConfig::default() })
+            }
+            Transport::Rpc(rpc) => (
+                Placement::Processes {
+                    worker_bin: resolve_worker_bin(rpc.worker_bin.as_deref())?,
+                    addr: rpc.addr.clone(),
+                },
+                rpc.clone(),
+            ),
+        };
         let tree_config = TreeConfig {
-            worker_bin: resolve_worker_bin(rpc.worker_bin.as_deref())?,
+            placement,
             budget: rpc.budget,
             replication: config.replication,
             fanout: config.tree.fanout,
             threads: config.threads,
-            cache_budget_per_shard: Self::per_shard_budget(config, shard_count),
+            cache_budget_per_shard: (config.cache_budget / shard_count).max(1 << 16),
             cache_entries: config.shard_cache,
             epoch,
-            addr: rpc.addr.clone(),
             compress: rpc.compress,
             chunk_pruning: config.chunk_pruning,
         };
         // Sub-tables are produced one at a time: each is shipped to its
-        // worker pair and dropped before the next is materialized.
+        // node pair and dropped before the next is materialized.
         ProcessTree::build(
             shard_count,
             |s| Self::shard_table(table, s, shard_count),
@@ -542,13 +410,9 @@ impl Cluster {
     }
 
     /// Re-import every shard from `table` (the §5 "table rebuild": new
-    /// data, fresh per-shard caches) and invalidate every result cache
-    /// whose partials refer to the old stores: the root's shard cache
-    /// directly, the workers' own caches through the **epoch bump** — any
-    /// node that sees the new epoch (at `Load`/`Attach` of the respawned
-    /// tree, or in the next `Query` should a process ever survive a
-    /// rebuild) drops its cache. Over RPC the whole worker tree is
-    /// respawned — the old processes hold the old data.
+    /// data, a freshly spawned tree) and advance the epoch, so no node
+    /// cache can serve a partial of the old data. The old tree is dropped
+    /// once its successor is up.
     ///
     /// This is the *full* refresh: every row is re-shipped and re-imported
     /// even if only a fraction changed. For append-only growth, prefer
@@ -556,22 +420,11 @@ impl Cluster {
     /// new rows as dictionary deltas into the live stores, no respawn.
     pub fn rebuild(&mut self, table: &Table) -> pd_common::Result<()> {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        match &self.config.transport {
-            Transport::InProcess => self.shards = Self::build_shards(table, &self.config)?,
-            Transport::Rpc(rpc) => {
-                // Drop (and kill) the old tree before spawning its successor.
-                self.tree = None;
-                self.tree = Some(Self::build_tree(table, &self.config, rpc, epoch)?);
-            }
-        }
-        if let Some(cache) = &self.shard_cache {
-            cache.invalidate();
-        }
-        let shard_count = self.shard_count();
-        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); shard_count];
+        self.tree = Self::build_tree(table, &self.config, epoch)?;
+        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); self.tree.shard_count()];
         // A respawned tree starts with empty executor queues: stale
-        // saturation / hedge estimates from the old processes would shed
-        // or hedge against load that no longer exists.
+        // saturation / hedge estimates from the old nodes would shed or
+        // hedge against load that no longer exists.
         self.recent_queue.lock().clear();
         Ok(())
     }
@@ -584,74 +437,46 @@ impl Cluster {
     /// codes — the receiver resolves them against its resident
     /// dictionaries, appending only genuinely new values, so **every
     /// existing global id stays stable** and folded partials across old
-    /// and new chunks stay bit-identical), and applied in place:
-    ///
-    /// - in-process, each shard's store absorbs its slice directly;
-    /// - over RPC, `Append` frames go to every shard's primary *and*
-    ///   replica, the refreshed [`crate::meta::ShardMeta`] acks re-wire
-    ///   the merge levels bottom-up, and no process is respawned.
+    /// and new chunks stay bit-identical), and applied in place: `Append`
+    /// requests go to every shard's primary *and* replica, the refreshed
+    /// [`crate::meta::ShardMeta`] acks re-wire the merge levels bottom-up,
+    /// and no node is respawned.
     ///
     /// The epoch bumps exactly as a rebuild would, so every cache layer
-    /// (root shard cache, worker caches, leaf chunk-result caches)
-    /// invalidates by the same rule. Requires `&mut self`: queries borrow
-    /// the cluster shared, so no query can observe a half-applied append
-    /// (an RPC-side failure mid-append leaves shards at different data;
-    /// recover with [`Cluster::rebuild`]).
+    /// (node caches, leaf chunk-result caches) invalidates by the same
+    /// rule. Requires `&mut self`: queries borrow the cluster shared, so no
+    /// query can observe a half-applied append (a failure mid-append leaves
+    /// shards at different data; recover with [`Cluster::rebuild`]).
     pub fn append(&mut self, delta: &Table) -> pd_common::Result<AppendOutcome> {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let shard_count = self.shard_count();
-        let rows = delta.len() as u64;
         let field_count = delta.schema().fields().len();
-        let shard_delta = |s: usize| -> pd_common::Result<Option<TableDelta>> {
+        let mut deltas = Vec::with_capacity(shard_count);
+        for s in 0..shard_count {
             let sub = Self::shard_table(delta, s, shard_count)?;
-            if sub.is_empty() {
-                return Ok(None);
-            }
-            let columns: Vec<&[Value]> = (0..field_count).map(|i| sub.column(i)).collect();
-            TableDelta::from_columns(sub.schema().clone(), &columns).map(Some)
-        };
-        let bytes_shipped = if let Some(tree) = self.tree.as_mut() {
-            let mut deltas = Vec::with_capacity(shard_count);
-            for s in 0..shard_count {
-                deltas.push(shard_delta(s)?);
-            }
-            tree.append(&deltas, epoch)?
-        } else {
-            for s in 0..shard_count {
-                let Some(table_delta) = shard_delta(s)? else { continue };
-                let shard = &mut self.shards[s];
-                shard.store.append_delta(&table_delta)?;
-                // The shard's resident caches describe the pre-append
-                // store (the in-process counterpart of the leaf worker's
-                // cache drop).
-                if let Some(results) = &shard.ctx.result_cache {
-                    results.clear();
-                }
-                if let Some(tiered) = &shard.ctx.tiered {
-                    tiered.clear();
-                }
-            }
-            0
-        };
-        if let Some(cache) = &self.shard_cache {
-            cache.invalidate();
+            deltas.push(if sub.is_empty() {
+                None
+            } else {
+                let columns: Vec<&[Value]> = (0..field_count).map(|i| sub.column(i)).collect();
+                Some(TableDelta::from_columns(sub.schema().clone(), &columns)?)
+            });
         }
-        // Unlike a rebuild, the worker processes (and their executor
-        // queues) survive, so the observed queue / saturation estimates
-        // still describe the live cluster — they are kept.
-        Ok(AppendOutcome { rows, bytes_shipped })
+        let bytes_shipped = self.tree.append(&deltas, epoch)?;
+        // Unlike a rebuild, the nodes (and their executor queues) survive,
+        // so the observed queue / saturation estimates still describe the
+        // live cluster — they are kept.
+        Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped })
     }
 
     /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append` frames) shipped to the worker tree since it was last
-    /// (re)spawned. Always 0 in-process, where no bytes cross a wire.
+    /// `Append` frames) sent into the tree since it was last (re)built.
     pub fn shipped_bytes(&self) -> u64 {
-        self.tree.as_ref().map_or(0, ProcessTree::shipped_bytes)
+        self.tree.shipped_bytes()
     }
 
-    /// Swap the rpc-level fault injection model. Chaos draws depend only
-    /// on `(seed, query id, node name)`, so setting the same model on a
-    /// fresh cluster replays the same faults against the same queries.
+    /// Swap the fault injection model. Chaos draws depend only on
+    /// `(seed, query id, node name)`, so setting the same model on a fresh
+    /// cluster replays the same faults against the same queries.
     pub fn set_chaos(&mut self, chaos: ChaosModel) {
         self.config.failures.chaos = chaos;
     }
@@ -734,13 +559,12 @@ impl Cluster {
     }
 
     pub fn shard_count(&self) -> usize {
-        self.tree.as_ref().map_or(self.shards.len(), ProcessTree::shard_count)
+        self.tree.shard_count()
     }
 
-    /// Mean measured queue delay per shard (RPC transport; all zeros
-    /// before any query, and always for in-process execution). This is the
-    /// observed counterpart of the seeded [`LoadModel`]: real per-process
-    /// queueing, reported up the tree by the workers themselves.
+    /// Mean measured queue delay per shard (all zeros before any query):
+    /// real per-node queueing, reported up the tree by the nodes
+    /// themselves.
     pub fn observed_queue_delays(&self) -> Vec<Duration> {
         self.observed_queue
             .lock()
@@ -755,147 +579,45 @@ impl Cluster {
             .collect()
     }
 
-    /// Test knob (RPC transport): make shard `shard`'s primary worker
-    /// sleep before every answer, so it outlives the hedge delay and the
-    /// §4 replica race runs against a *real* straggling process.
-    pub fn inject_worker_delay(&self, shard: usize, delay: Duration) -> pd_common::Result<()> {
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            pd_common::Error::Data("worker delays require the rpc transport".into())
-        })?;
-        tree.delay_primary(shard, delay)
-    }
-
-    /// `(hits, misses)` of the shard-level result cache so far.
-    pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.shard_cache.as_ref().map_or((0, 0), ShardCache::stats)
-    }
-
-    /// Run `sql` over every shard — concurrently — and merge the partial
-    /// results in fixed shard order. Under [`Transport::Rpc`] the fan-out,
-    /// merge levels and failover all happen across worker processes; the
-    /// result is bit-identical either way.
+    /// Run `sql` through the tree: the driver is the root — it fans out to
+    /// the frontier (leaves or merge servers), folds the answers
+    /// associatively and finalizes. Failure injection ([`FailureModel`])
+    /// decides *here* which primaries are dead for this query; the kill
+    /// list travels down so each leaf's parent skips the primary — the
+    /// same failover code a deadline expiry triggers.
     pub fn query(&self, sql: &str) -> pd_common::Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
         let _permit = self.admit()?;
         let analyzed = analyze(&parse_query(sql)?)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(tree) = &self.tree {
-            return self.query_tree(tree, qid, &analyzed);
-        }
-        let signature = self.shard_cache.as_ref().map(|_| {
-            let sketch_m = self.shards.first().map_or(4096, |s| s.ctx.sketch_m());
-            query_signature(&analyzed, sketch_m)
-        });
-
-        // Fan out: one task per shard on the shared worker pool. Tasks
-        // only read shared state (stores, cache gets); results come back
-        // in shard order.
-        let threads = self.effective_threads();
-        let scans = scheduler::run_tasks(threads, self.shards.len(), |s| {
-            self.subquery(s, qid, &analyzed, signature.as_deref())
-        })?;
-
-        // Driver-side fold in fixed shard order: stats accounting, cache
-        // admission and the merge are deterministic under any scheduling.
-        let mut merged = PartialResult::default();
-        let mut stats = ScanStats::default();
-        let mut subquery_latencies = Vec::with_capacity(self.shards.len());
-        let mut failovers = Vec::new();
-        let mut shard_cache_hits = 0;
-        for (s, scan) in scans.into_iter().enumerate() {
-            subquery_latencies.push(scan.latency);
-            if scan.failover {
-                failovers.push(s);
-            }
-            match scan.answer {
-                ShardAnswer::Cached(entry) => {
-                    shard_cache_hits += 1;
-                    stats += &entry.cached_stats();
-                    merged.merge_ref(&entry.partial)?;
-                }
-                ShardAnswer::Computed { partial, stats: shard_stats, compute } => {
-                    stats += &shard_stats;
-                    match (&self.shard_cache, &signature) {
-                        (Some(cache), Some(signature)) => {
-                            let entry = Arc::new(ShardEntry::new(partial, &shard_stats));
-                            cache.put_costed(signature, s, entry.clone(), compute);
-                            merged.merge_ref(&entry.partial)?;
-                        }
-                        _ => merged.merge(partial)?,
-                    }
-                }
-            }
-        }
-
-        // End-to-end: the slowest subquery dominates; each tree level adds
-        // a merge hop.
-        let slowest = subquery_latencies.iter().max().copied().unwrap_or(Duration::ZERO);
-        let merge_overhead =
-            Duration::from_micros(200) * self.config.tree.depth(self.shards.len()) as u32;
-        let finalize_started = Instant::now();
-        let result = finalize(&analyzed, merged)?;
-        let latency = slowest + merge_overhead + finalize_started.elapsed();
-        stats.elapsed = latency;
-
-        let queue_delays = vec![Duration::ZERO; subquery_latencies.len()];
-        Ok(QueryOutcome {
-            result,
-            stats,
-            latency,
-            subquery_latencies,
-            failovers,
-            hedges: Vec::new(),
-            shard_cache_hits,
-            queue_delays,
-        })
-    }
-
-    /// One distributed query over the worker-process tree: the driver is
-    /// the root — it fans out to the frontier (leaves or merge servers),
-    /// folds the answers associatively and finalizes. Failure injection
-    /// ([`FailureModel`]) decides *here* which primaries are dead for this
-    /// query; the kill list travels down so each leaf's parent skips the
-    /// primary — the same failover code a deadline expiry triggers.
-    fn query_tree(
-        &self,
-        tree: &ProcessTree,
-        qid: u64,
-        analyzed: &AnalyzedQuery,
-    ) -> pd_common::Result<QueryOutcome> {
-        let shard_count = tree.shard_count();
+        let shard_count = self.tree.shard_count();
         let killed: Vec<u64> = (0..shard_count)
             .filter(|&s| self.config.failures.primary_fails(qid, s))
             .map(|s| s as u64)
             .collect();
-        if !killed.is_empty() && !self.config.replication {
-            // Match the in-process contract: a killed primary without a
-            // replica fails the query, naming the shard.
-            let s = killed[0];
-            return Err(pd_common::Error::Data(format!(
+        if let (Some(s), false) = (killed.first(), self.config.replication) {
+            // A killed primary without a replica fails the query, naming
+            // the shard, before anything is sent.
+            return Err(Error::Data(format!(
                 "shard {s}: primary replica failed mid-query and replication is disabled"
             )));
         }
 
         // Hedge delay from the observed queue tail; zero disables racing
         // entirely when there are no replicas to race.
-        let budget = match &self.config.transport {
-            Transport::Rpc(rpc) => rpc.budget,
-            Transport::InProcess => Duration::from_secs(30),
-        };
         let hedge_micros = if self.config.replication {
-            u64::try_from(self.hedge_delay(budget).as_micros()).unwrap_or(u64::MAX)
+            u64::try_from(self.hedge_delay(self.tree.budget()).as_micros()).unwrap_or(u64::MAX)
         } else {
             0
         };
-        let chaos = self.config.failures.chaos.draw(qid, tree.node_names());
+        let chaos = self.config.failures.chaos.draw(qid, self.tree.node_names());
 
         let fan_out_started = Instant::now();
-        let answer = tree.query(analyzed, killed, self.epoch(), hedge_micros, chaos)?;
+        let answer = self.tree.query(&analyzed, killed, self.epoch(), hedge_micros, chaos)?;
         // Measured end-to-end fan-out: leaf hops *and* every merge-server
-        // fold, response serialization and root-hop transport above them —
-        // time the per-shard reports (stamped by each leaf's immediate
-        // parent) cannot see at depth ≥ 2.
+        // fold above them — time the per-shard reports (stamped by each
+        // leaf's immediate parent) cannot see at depth ≥ 2.
         let fan_out_elapsed = fan_out_started.elapsed();
 
         // Index the per-shard observations the tree reported up.
@@ -906,9 +628,7 @@ impl Cluster {
         for report in &answer.reports {
             let s = report.shard as usize;
             if s >= shard_count {
-                return Err(pd_common::Error::Data(format!(
-                    "rpc: worker reported unknown shard {s}"
-                )));
+                return Err(Error::Data(format!("rpc: node reported unknown shard {s}")));
             }
             subquery_latencies[s] = report.latency;
             queue_delays[s] = report.queue;
@@ -943,10 +663,7 @@ impl Cluster {
 
         let finalize_started = Instant::now();
         let mut stats = answer.stats;
-        let result = finalize(analyzed, answer.partial)?;
-        // Measured end-to-end: the whole fan-out (slowest subquery plus
-        // every real merge level above it), then the root's finalize. No
-        // modeled merge overhead anywhere.
+        let result = finalize(&analyzed, answer.partial)?;
         let latency = fan_out_elapsed + finalize_started.elapsed();
         stats.elapsed = latency;
 
@@ -957,90 +674,16 @@ impl Cluster {
             subquery_latencies,
             failovers,
             hedges,
-            shard_cache_hits: 0,
             queue_delays,
         })
-    }
-
-    /// One shard's subquery: shard-cache lookup, then primary execution
-    /// with replica failover.
-    fn subquery(
-        &self,
-        s: usize,
-        qid: u64,
-        analyzed: &AnalyzedQuery,
-        signature: Option<&str>,
-    ) -> pd_common::Result<SubqueryScan> {
-        if let (Some(cache), Some(signature)) = (&self.shard_cache, signature) {
-            if let Some(entry) = cache.get(signature, s) {
-                // The root already holds this shard's partial: no scan, no
-                // server round trip, no load-model exposure.
-                return Ok(SubqueryScan {
-                    answer: ShardAnswer::Cached(entry),
-                    latency: Duration::ZERO,
-                    failover: false,
-                });
-            }
-        }
-
-        let shard = &self.shards[s];
-        let failover = self.config.failures.primary_fails(qid, s);
-        if failover && !self.config.replication {
-            return Err(pd_common::Error::Data(format!(
-                "shard {s}: primary replica failed mid-query and replication is disabled"
-            )));
-        }
-
-        // Wall-clock compute, minus any time this thread spent helping
-        // *other* queued tasks while its own chunk fan-out waited — a
-        // shard's modeled latency must not absorb foreign subqueries.
-        let started = Instant::now();
-        let stolen_before = scheduler::stolen_time();
-        let (partial, shard_stats) = execute_partial(&shard.store, analyzed, &shard.ctx)?;
-        let stolen = scheduler::stolen_time().saturating_sub(stolen_before);
-        let compute = started.elapsed().saturating_sub(stolen);
-
-        // Load-model delays: with replication both replicas get the query
-        // and the faster answer wins; a dead primary means the replica's
-        // answer is the only one.
-        let load = &self.config.load;
-        let primary_delay = load.draw(&mut stream(load.seed, qid, s as u64, ROLE_PRIMARY));
-        let replica_delay = load.draw(&mut stream(load.seed, qid, s as u64, ROLE_REPLICA));
-        let server_delay = if failover {
-            replica_delay
-        } else if self.config.replication {
-            primary_delay.min(replica_delay)
-        } else {
-            primary_delay
-        };
-
-        let latency = compute + self.io_time(&shard_stats) + server_delay;
-        Ok(SubqueryScan {
-            answer: ShardAnswer::Computed { partial, stats: shard_stats, compute },
-            latency,
-            failover,
-        })
-    }
-
-    fn effective_threads(&self) -> usize {
-        // Shard contexts carry `config.threads`; delegating keeps the
-        // 0-means-default resolution in one place (`pd_core`).
-        self.shards.first().map_or(1, |s| s.ctx.effective_threads())
-    }
-
-    /// Modeled time to move a subquery's bytes: disk reads at ~200 MB/s,
-    /// decompression at ~1 GB/s (the Figure 5 relation).
-    fn io_time(&self, stats: &ScanStats) -> Duration {
-        let disk = stats.disk_bytes as f64 / (200.0 * 1024.0 * 1024.0);
-        let decompress = stats.decompressed_bytes as f64 / (1024.0 * 1024.0 * 1024.0);
-        Duration::from_secs_f64(disk + decompress)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pd_core::query;
+    use crate::chaos::ChaosFault;
+    use pd_core::{query, DataStore};
     use pd_data::{generate_logs, LogsSpec};
 
     fn logs_cluster(shards: usize, replication: bool) -> (Table, Cluster) {
@@ -1070,7 +713,9 @@ mod tests {
             let outcome = cluster.query(sql).unwrap();
             assert_eq!(outcome.result, expect, "{sql}");
             assert_eq!(outcome.subquery_latencies.len(), 4);
-            assert!(outcome.failovers.is_empty());
+            // No primary is dead: any failover is a hedge race a loaded
+            // machine let the replica win.
+            assert!(outcome.failovers.iter().all(|s| outcome.hedges.contains(s)));
         }
     }
 
@@ -1100,7 +745,7 @@ mod tests {
             let batch_start = batch_end - 300;
             let outcome = cluster.append(&slice(batch_start, batch_end)).unwrap();
             assert_eq!(outcome.rows, 300);
-            assert_eq!(outcome.bytes_shipped, 0, "in-process appends ship nothing");
+            assert!(outcome.bytes_shipped > 0, "the append frames are accounted");
             let fresh = Cluster::build(&slice(0, batch_end), &config).unwrap();
             let store = DataStore::build(&slice(0, batch_end), &BuildOptions::basic()).unwrap();
             for sql in sqls {
@@ -1112,17 +757,17 @@ mod tests {
     }
 
     #[test]
-    fn append_bumps_the_epoch_and_invalidates_the_shard_cache() {
+    fn append_bumps_the_epoch_and_invalidates_node_caches() {
         let (table, mut cluster) = logs_cluster(4, true);
         let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 5";
         let cold = cluster.query(sql).unwrap();
-        assert_eq!(cluster.query(sql).unwrap().shard_cache_hits, 4);
+        assert_eq!(cluster.query(sql).unwrap().worker_cache_hits(), 4);
         let epoch_before = cluster.epoch();
         let rows: Vec<usize> = (0..100).collect();
         cluster.append(&table.select_rows(&rows)).unwrap();
         assert_eq!(cluster.epoch(), epoch_before + 1, "append advances the rebuild epoch");
         let warm = cluster.query(sql).unwrap();
-        assert_eq!(warm.shard_cache_hits, 0, "cached pre-append partials must not answer");
+        assert_eq!(warm.worker_cache_hits(), 0, "cached pre-append partials must not answer");
         assert_ne!(warm.result, cold.result, "the appended rows change the counts");
     }
 
@@ -1167,13 +812,13 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_shard_cache() {
+    fn repeated_queries_hit_the_node_caches() {
         let (_, cluster) = logs_cluster(4, true);
         let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 5";
         let cold = cluster.query(sql).unwrap();
-        assert_eq!(cold.shard_cache_hits, 0);
+        assert_eq!(cold.worker_cache_hits(), 0);
         let warm = cluster.query(sql).unwrap();
-        assert_eq!(warm.shard_cache_hits, 4, "every shard partial is reused");
+        assert_eq!(warm.worker_cache_hits(), 4, "every leaf partial is reused");
         assert_eq!(warm.result, cold.result, "cache must not change results");
         assert_eq!(warm.stats.rows_cached, warm.stats.rows_total);
         assert_eq!(warm.stats.rows_scanned, 0);
@@ -1181,7 +826,7 @@ mod tests {
         let limited = cluster
             .query("SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 2")
             .unwrap();
-        assert_eq!(limited.shard_cache_hits, 4);
+        assert_eq!(limited.worker_cache_hits(), 4);
         assert_eq!(limited.result.rows.len(), 2);
     }
 
@@ -1195,44 +840,77 @@ mod tests {
 
     #[test]
     fn replication_tames_the_tail() {
-        // Replication takes the faster of two load-model draws, so far
-        // fewer queries land in the "blocked" regime (≥ 30 ms modeled
-        // delay). Compare tail *frequencies* against a threshold real
-        // compute time cannot reach on this tiny table (per-query compute
-        // is microseconds; blocked draws are 30–150 ms), so wall-clock
-        // jitter cannot flip the assertion. The shard cache is disabled:
-        // this test re-issues one query, and cache hits bypass the load
-        // model entirely.
-        let load = LoadModel { busy_probability: 0.2, blocked_probability: 0.3, seed: 9 };
+        // Seeded chaos delays on the local tree: each node independently
+        // stalls 60–100 ms with probability 0.3 per query. Unreplicated, a
+        // query is as slow as its slowest primary. Replicated, a primary
+        // still out after the hedge delay (25 ms once the queue estimate is
+        // warm) is raced against its replica and the loser's sleep is cut
+        // short, so only shards whose primary *and* replica stall stay
+        // slow. Which shards hedge follows from the draws alone: a stalled
+        // primary cannot answer inside 60 ms, and a healthy one answers a
+        // 250-row scan far inside 25 ms.
+        let chaos = ChaosModel {
+            seed: 9,
+            delay_probability: 0.3,
+            delay_range: (Duration::from_millis(60), Duration::from_millis(100)),
+            ..Default::default()
+        };
+        let stalled = |qid: u64, node: String| {
+            chaos.draw(qid, &[node]).iter().any(|d| matches!(d.fault, ChaosFault::Delay(_)))
+        };
         let table = generate_logs(&LogsSpec::scaled(1_000));
         let build = BuildOptions::production(&["country"]);
         let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 3";
-        let blocked_tail = |replication: bool| -> usize {
-            let cluster = Cluster::build(
+        let (shards, queries) = (4usize, 1..=30u64);
+        let slow = Duration::from_millis(50);
+        let run = |replication: bool| -> (usize, Vec<Vec<usize>>) {
+            let mut cluster = Cluster::build(
                 &table,
                 &ClusterConfig {
-                    shards: 4,
+                    shards,
                     replication,
                     build: build.clone(),
-                    load,
                     shard_cache: 0,
                     ..Default::default()
                 },
             )
             .unwrap();
-            (0..200)
-                .filter(|_| cluster.query(sql).unwrap().latency >= Duration::from_millis(25))
-                .count()
+            // Query 0 runs clean and warms the hedge-delay estimate.
+            cluster.query(sql).unwrap();
+            cluster.set_chaos(chaos.clone());
+            let mut blocked = 0;
+            let mut hedges = Vec::new();
+            for _ in queries.clone() {
+                let outcome = cluster.query(sql).unwrap();
+                blocked += usize::from(outcome.latency >= slow);
+                hedges.push(outcome.hedges);
+            }
+            (blocked, hedges)
         };
-        let unreplicated = blocked_tail(false);
-        let replicated = blocked_tail(true);
-        // The replicated cluster draws the *same* primary delays (same
-        // (seed, query, shard, role) streams) and can only improve on them
-        // by taking the replica when faster, so the gap is deterministic:
-        // P(blocked) ≈ 76% per query unreplicated vs ≈ 31% replicated.
+        let expect_hedges: Vec<Vec<usize>> = queries
+            .clone()
+            .map(|qid| (0..shards).filter(|s| stalled(qid, format!("l{s}p"))).collect())
+            .collect();
+        let must_block = expect_hedges.iter().filter(|hedged| !hedged.is_empty()).count();
+        let may_block = queries
+            .clone()
+            .filter(|&qid| {
+                (0..shards)
+                    .any(|s| stalled(qid, format!("l{s}p")) && stalled(qid, format!("l{s}r")))
+            })
+            .count();
+        assert!(may_block + 5 < must_block, "the draws themselves: {may_block} vs {must_block}");
+
+        let (unreplicated, no_hedges) = run(false);
+        let (replicated, hedges) = run(true);
+        assert!(no_hedges.iter().all(Vec::is_empty), "no replica, no race");
+        assert_eq!(hedges, expect_hedges, "exactly the stalled primaries are hedged");
+        // The injected sleeps guarantee the unreplicated tail.
+        assert!(unreplicated >= must_block, "{unreplicated} < {must_block}");
         assert!(
-            replicated + 40 < unreplicated,
-            "replication must shrink the blocked tail: {replicated} vs {unreplicated} of 200"
+            replicated < unreplicated,
+            "replication must shrink the blocked tail: {replicated} vs {unreplicated} \
+             (expected about {may_block} vs {must_block})"
         );
     }
 
@@ -1359,43 +1037,5 @@ mod tests {
             }
         }
         assert_eq!(cluster.queue_p95(), Some(Duration::from_millis(95)));
-    }
-
-    #[test]
-    fn load_draws_are_reproducible_across_clusters() {
-        // Delays depend on (seed, query, shard, replica) only, never on
-        // worker scheduling or wall clock. Classify each subquery as
-        // blocked (modeled draws of 30–150 ms) or not: real compute on
-        // this tiny table is orders of magnitude below the 25 ms line, so
-        // the classification is exactly the model's.
-        let load = LoadModel { busy_probability: 0.2, blocked_probability: 0.3, seed: 77 };
-        let table = generate_logs(&LogsSpec::scaled(500));
-        let build = BuildOptions::production(&["country"]);
-        let run = || -> Vec<bool> {
-            let cluster = Cluster::build(
-                &table,
-                &ClusterConfig {
-                    shards: 4,
-                    replication: false,
-                    build: build.clone(),
-                    load,
-                    shard_cache: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut blocked = Vec::new();
-            for _ in 0..20 {
-                let outcome =
-                    cluster.query("SELECT COUNT(*) FROM logs WHERE country = 'DE'").unwrap();
-                blocked.extend(
-                    outcome.subquery_latencies.iter().map(|d| *d >= Duration::from_millis(25)),
-                );
-            }
-            blocked
-        };
-        let a = run();
-        assert_eq!(a, run(), "equal seeds and query sequences draw equal delays");
-        assert!(a.iter().any(|&b| b), "probability 0.3 over 80 draws must block some");
     }
 }

@@ -1,30 +1,37 @@
-//! Driver-side management of the process-split computation tree.
+//! Driver-side construction of the §4 computation tree.
 //!
 //! [`ProcessTree::build`] turns a sharded table into the paper's §4
-//! topology, for real: one `pd-dist-worker` OS process per shard replica
-//! (two per shard under replication — the "send the query to both machines
-//! holding a partition" pair), plus one process per intermediate merge
-//! server whenever the shard count exceeds the [`crate::TreeShape`]
-//! fanout. The driver itself is the root: it queries the frontier (the
-//! top-most tree level), folds the answers with the same associative
-//! merge every other level uses, and finalizes.
+//! topology: one node per shard replica (two per shard under replication —
+//! the "send the query to both machines holding a partition" pair), plus
+//! one merge server per group whenever the shard count exceeds the
+//! [`crate::TreeShape`] fanout. The driver itself is the root: it queries
+//! the frontier (the top-most tree level), folds the answers with the same
+//! associative merge every other level uses, and finalizes.
 //!
-//! Workers listen on Unix sockets in a private temp directory
-//! ([`WorkerAddr::Unix`]) or on ephemeral TCP ports ([`WorkerAddr::Tcp`],
-//! the multi-host shape exercised over loopback here); TCP workers
-//! announce their kernel-assigned port through a file the spawner polls.
-//! Every spawned process sits in a [`ReapGuard`], so a panic anywhere
-//! mid-build or mid-test kills and reaps the child on unwind — a wedged
-//! worker (the very failure mode the deadline path exists for) must not
-//! outlive its cluster, and a red test must not poison later suites with
-//! orphan processes.
+//! The [`Placement`] decides only where nodes run and so which [`Link`]
+//! reaches them; the topology, the wiring messages and every query-time
+//! rule are the same:
+//!
+//! - [`Placement::Local`]: every node is a [`LocalNode`] on a thread of
+//!   the driver's process, reached through its executor queue;
+//! - [`Placement::Processes`]: one `pd-dist-worker` OS process per node,
+//!   listening on a Unix socket in a private temp directory
+//!   ([`WorkerAddr::Unix`]) or an ephemeral TCP port ([`WorkerAddr::Tcp`],
+//!   the multi-host shape exercised over loopback here); TCP workers
+//!   announce their kernel-assigned port through a file the spawner polls.
+//!   Every spawned process sits in a [`ReapGuard`], so a panic anywhere
+//!   mid-build or mid-test kills and reaps the child on unwind — a wedged
+//!   worker (the very failure mode the deadline path exists for) must not
+//!   outlive its cluster, and a red test must not poison later suites with
+//!   orphan processes.
 
 use crate::chaos::ChaosDirective;
 use crate::meta::ShardMeta;
+use crate::node::LocalNode;
 use crate::rpc::{
     backoff_sleep, encode_frame, fan_out, Addr, AppendRequest, AttachRequest, ChildHandle,
-    ChildSpec, LoadRequest, QueryRequest, Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP,
-    LOAD_TIMEOUT, STARTUP_TIMEOUT,
+    ChildSpec, Link, LoadRequest, QueryRequest, Request, Response, RpcClient, SubtreeAnswer,
+    BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
 use pd_common::{fx_hash64, Error, Result};
@@ -106,15 +113,26 @@ impl Drop for ReapGuard {
     }
 }
 
+/// Where a tree's nodes run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Placement {
+    /// On threads of the driver's own process, each reached through its
+    /// executor queue.
+    Local,
+    /// In spawned `pd-dist-worker` processes listening on sockets of the
+    /// given shape.
+    Processes { worker_bin: PathBuf, addr: WorkerAddr },
+}
+
 /// Everything the tree builder needs beyond the shard tables.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    pub worker_bin: PathBuf,
+    pub placement: Placement,
     /// Time budget for one whole query through the tree: decremented by
     /// every node's queueing delay on the way down, enforced absolutely
     /// by every caller on the way up.
     pub budget: Duration,
-    /// Spawn a replica process per shard and fail primaries over to it.
+    /// Spawn a replica node per shard and fail primaries over to it.
     pub replication: bool,
     /// Children per merge server (the [`crate::TreeShape`] fanout).
     pub fanout: usize,
@@ -123,16 +141,14 @@ pub struct TreeConfig {
     /// Uncompressed-cache byte budget per shard.
     pub cache_budget_per_shard: usize,
     /// Capacity (signatures) of every tree node's own result cache —
-    /// leaves and merge servers alike; 0 disables worker-side caching.
+    /// leaves and merge servers alike; 0 disables node-side caching.
     pub cache_entries: usize,
     /// Rebuild epoch the tree is built at; shipped in every `Load` and
-    /// `Attach` so the workers' cache-invalidation contract starts
-    /// aligned with the driver.
+    /// `Attach` so the nodes' cache-invalidation contract starts aligned
+    /// with the driver.
     pub epoch: u64,
-    /// Socket shape workers listen on.
-    pub addr: WorkerAddr,
     /// Compress RPC frames (negotiated per connection, applied down the
-    /// whole tree).
+    /// whole tree; local links never encode).
     pub compress: bool,
     /// Use the chunk-granular metadata layers (per-chunk zone maps) for
     /// edge pruning and leaf scan seeding; off, pruning is shard-granular
@@ -167,17 +183,17 @@ pub fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf> {
     ))
 }
 
-/// A live computation tree of worker processes.
+/// A live computation tree, its nodes local or in worker processes.
 pub struct ProcessTree {
-    dir: PathBuf,
-    processes: Vec<ReapGuard>,
-    /// All worker addresses ever handed out, for shutdown.
-    addrs: Vec<Addr>,
+    /// `pd-tree-<pid>-<seq>`: names the temp dir of a process tree's
+    /// sockets and prefixes a local tree's node addresses.
+    id: String,
+    /// Spawned worker processes with their addresses (for shutdown).
+    processes: Vec<(Addr, ReapGuard)>,
+    /// Nodes running on threads of this process.
+    locals: Vec<LocalNode>,
     /// The top tree level, queried (and failed over) by the driver root.
     frontier: Vec<ChildHandle>,
-    /// Per shard: the primary's address, for control messages (delay
-    /// injection) that must reach a specific process.
-    leaf_primaries: Vec<Addr>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
     names: Vec<String>,
@@ -189,8 +205,8 @@ pub struct ProcessTree {
     /// re-`Attach` each one so its pruning metas and epoch track the data.
     merge_levels: Vec<Vec<(Addr, String)>>,
     /// Cumulative serialized bytes of data-bearing requests (`Load` and
-    /// `Append` frames) shipped to workers — the cost an incremental
-    /// append is measured against a full respawn by.
+    /// `Append` frames) sent into the tree — the cost an incremental
+    /// append is measured against a full rebuild by.
     bytes_shipped: u64,
     fanout: usize,
     cache_entries: usize,
@@ -202,7 +218,7 @@ pub struct ProcessTree {
 static TREE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ProcessTree {
-    /// Spawn and wire the whole tree: load one worker (pair) per shard
+    /// Spawn and wire the whole tree: load one node (pair) per shard
     /// (sub-tables come from `shard_table` one at a time and are dropped
     /// after shipping), then stack merge servers until one level fits the
     /// fanout.
@@ -212,18 +228,16 @@ impl ProcessTree {
         build: &BuildOptions,
         config: &TreeConfig,
     ) -> Result<Self> {
-        let dir = std::env::temp_dir().join(format!(
-            "pd-tree-{}-{}",
-            std::process::id(),
-            TREE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
+        let id =
+            format!("pd-tree-{}-{}", std::process::id(), TREE_SEQ.fetch_add(1, Ordering::Relaxed));
+        if matches!(config.placement, Placement::Processes { .. }) {
+            std::fs::create_dir_all(std::env::temp_dir().join(&id))?;
+        }
         let mut tree = ProcessTree {
-            dir,
+            id,
             processes: Vec::new(),
-            addrs: Vec::new(),
+            locals: Vec::new(),
             frontier: Vec::new(),
-            leaf_primaries: Vec::new(),
             names: Vec::new(),
             leaf_specs: Vec::new(),
             merge_levels: Vec::new(),
@@ -245,7 +259,7 @@ impl ProcessTree {
         build: &BuildOptions,
         config: &TreeConfig,
     ) -> Result<()> {
-        // Leaves: one loaded worker per shard replica. The primary's Load
+        // Leaves: one loaded node per shard replica. The primary's Load
         // ack carries the shard's metadata summary, which every parent up
         // the tree uses to prune non-matching subtrees.
         let mut level: Vec<ChildSpec> = Vec::with_capacity(shard_count);
@@ -263,17 +277,16 @@ impl ProcessTree {
                 name: format!("l{shard}p"),
             }));
             drop(table);
-            let (primary, meta) = self.spawn_worker(config, &format!("l{shard}p"), &load)?;
+            let (primary, meta) = self.spawn_node(config, &format!("l{shard}p"), &load)?;
             let meta = meta
                 .ok_or_else(|| Error::Data(format!("shard {shard}: load ack carried no meta")))?;
-            self.leaf_primaries.push(primary.clone());
             let replica = if config.replication {
                 // Same shard bytes, its own name — retagged in place so
                 // the shipped rows are not cloned per replica.
                 if let Request::Load(l) = &mut load {
                     l.name = format!("l{shard}r");
                 }
-                Some(self.spawn_worker(config, &format!("l{shard}r"), &load)?.0)
+                Some(self.spawn_node(config, &format!("l{shard}r"), &load)?.0)
             } else {
                 None
             };
@@ -301,7 +314,7 @@ impl ProcessTree {
                     epoch: config.epoch,
                     name: name.clone(),
                 });
-                let (addr, _) = self.spawn_worker(config, &name, &attach)?;
+                let (addr, _) = self.spawn_node(config, &name, &attach)?;
                 servers.push((addr.clone(), name));
                 next.push(ChildSpec::Node { addr, height, metas });
             }
@@ -314,36 +327,68 @@ impl ProcessTree {
         Ok(())
     }
 
-    /// Spawn one worker named `name`, wait for it to answer `Ping`, then
-    /// send its role-assignment request (`Load` / `Attach`). Returns the
-    /// worker's address and, for a `Load`, the shard metadata it reported.
-    fn spawn_worker(
+    /// Start one node named `name` where the placement says, then send its
+    /// role-assignment request (`Load` / `Attach`) over the node's link.
+    /// Returns the node's address and, for a `Load`, the shard metadata it
+    /// reported.
+    fn spawn_node(
         &mut self,
         config: &TreeConfig,
         name: &str,
         role: &Request,
     ) -> Result<(Addr, Option<ShardMeta>)> {
+        let (addr, mut link) = match &config.placement {
+            Placement::Local => {
+                let node = LocalNode::spawn(&format!("{}/{name}", self.id))?;
+                let addr = node.addr().clone();
+                self.locals.push(node);
+                (addr.clone(), Link::new(addr, self.compress))
+            }
+            Placement::Processes { worker_bin, addr } => {
+                let client = self.spawn_process(worker_bin, addr, name)?;
+                (client.addr().clone(), Link::Process(client))
+            }
+        };
+        self.names.push(name.to_string());
+        let meta = expect_ack(link.call(role, LOAD_TIMEOUT)?, "role assignment")?;
+        if matches!(role, Request::Load(_)) {
+            // Data-bearing shipping cost: what an append path is compared
+            // against. (Attach frames are wiring, not data.)
+            self.bytes_shipped += encode_frame(role, self.compress)?.len() as u64;
+        }
+        Ok((addr, meta))
+    }
+
+    /// Spawn one worker process named `name` and wait until it answers
+    /// `Ping` on a connected client.
+    fn spawn_process(
+        &mut self,
+        worker_bin: &Path,
+        shape: &WorkerAddr,
+        name: &str,
+    ) -> Result<RpcClient> {
         // Decide the address story once: a unix worker listens where the
         // driver says; a tcp worker binds port 0 and reports back through
         // its announce file.
-        enum Spawned {
+        enum Endpoint {
             At(Addr),
             Announced(PathBuf),
         }
-        let mut command = Command::new(&config.worker_bin);
-        let spawned = match &config.addr {
+        let dir = std::env::temp_dir().join(&self.id);
+        let mut command = Command::new(worker_bin);
+        let endpoint = match shape {
             WorkerAddr::Unix => {
-                let path = self.dir.join(format!("{name}.sock"));
+                let path = dir.join(format!("{name}.sock"));
                 // A stale socket path from a dead worker would make the
                 // fresh bind fail (or worse, a poller adopt a corpse's
                 // address) — clear it before spawning.
                 let _ = std::fs::remove_file(&path);
                 let addr = Addr::Unix(path);
                 command.arg("--listen").arg(addr.to_string());
-                Spawned::At(addr)
+                Endpoint::At(addr)
             }
             WorkerAddr::Tcp { host } => {
-                let announce = self.dir.join(format!("{name}.addr"));
+                let announce = dir.join(format!("{name}.addr"));
                 // Same staleness rule: an old announce file would hand
                 // the poller a dead worker's port.
                 let _ = std::fs::remove_file(&announce);
@@ -352,7 +397,7 @@ impl ProcessTree {
                     .arg(format!("tcp:{host}:0"))
                     .arg("--announce")
                     .arg(&announce);
-                Spawned::Announced(announce)
+                Endpoint::Announced(announce)
             }
         };
         let child = command
@@ -360,41 +405,39 @@ impl ProcessTree {
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
-            .map_err(|e| Error::Data(format!("spawn {}: {e}", config.worker_bin.display())))?;
+            .map_err(|e| Error::Data(format!("spawn {}: {e}", worker_bin.display())))?;
         let mut guard = ReapGuard::new(child);
-        let addr = match &spawned {
-            Spawned::At(addr) => {
+        let addr = match &endpoint {
+            Endpoint::At(addr) => {
                 if let Addr::Unix(path) = addr {
                     guard.remove_on_exit(path.clone());
                 }
                 addr.clone()
             }
-            Spawned::Announced(announce) => {
+            Endpoint::Announced(announce) => {
                 guard.remove_on_exit(announce.clone());
                 wait_for_announce(announce, &mut guard)?
             }
         };
-        self.names.push(name.to_string());
-        self.processes.push(guard);
-        self.addrs.push(addr.clone());
-        let mut client = RpcClient::new(addr.clone(), config.compress);
+        self.processes.push((addr.clone(), guard));
+        let mut client = RpcClient::new(addr, self.compress);
         client.connect_with_retry(STARTUP_TIMEOUT)?;
-        expect_ack(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping").map(|_| ())?;
-        let meta = expect_ack(client.call(role, LOAD_TIMEOUT)?, "role assignment")?;
-        if matches!(role, Request::Load(_)) {
-            // Data-bearing shipping cost: what an append path is compared
-            // against. (Attach frames are wiring, not data.)
-            self.bytes_shipped += encode_frame(role, config.compress)?.len() as u64;
-        }
-        Ok((addr, meta))
+        expect_ack(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping")?;
+        Ok(client)
     }
 
     pub fn shard_count(&self) -> usize {
-        self.leaf_primaries.len()
+        self.leaf_specs.len()
+    }
+
+    /// The end-to-end time budget every query through this tree spends.
+    pub fn budget(&self) -> Duration {
+        self.budget
     }
 
     /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append`) shipped into the tree since it was built.
+    /// `Append`) sent into the tree since it was built, counted as frames
+    /// on either link.
     pub fn shipped_bytes(&self) -> u64 {
         self.bytes_shipped
     }
@@ -428,15 +471,13 @@ impl ProcessTree {
             let ChildSpec::Leaf { primary, replica, meta, .. } = &mut self.leaf_specs[shard] else {
                 return Err(Error::Data("append: leaf level holds a non-leaf spec".into()));
             };
-            let mut client = RpcClient::new(primary.clone(), self.compress);
-            client.connect_with_retry(STARTUP_TIMEOUT)?;
-            let refreshed = expect_ack(client.call(&request, LOAD_TIMEOUT)?, "append")?
+            let mut link = Link::new(primary.clone(), self.compress);
+            let refreshed = expect_ack(link.call(&request, LOAD_TIMEOUT)?, "append")?
                 .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
             shipped += frame_len;
             if let Some(replica) = replica {
-                let mut client = RpcClient::new(replica.clone(), self.compress);
-                client.connect_with_retry(STARTUP_TIMEOUT)?;
-                expect_ack(client.call(&request, LOAD_TIMEOUT)?, "append")?;
+                let mut link = Link::new(replica.clone(), self.compress);
+                expect_ack(link.call(&request, LOAD_TIMEOUT)?, "append")?;
                 shipped += frame_len;
             }
             *meta = refreshed;
@@ -466,9 +507,8 @@ impl ProcessTree {
                     epoch,
                     name: name.clone(),
                 });
-                let mut client = RpcClient::new(addr.clone(), self.compress);
-                client.connect_with_retry(STARTUP_TIMEOUT)?;
-                expect_ack(client.call(&attach, LOAD_TIMEOUT)?, "re-attach").map(|_| ())?;
+                let mut link = Link::new(addr.clone(), self.compress);
+                expect_ack(link.call(&attach, LOAD_TIMEOUT)?, "re-attach")?;
                 next.push(ChildSpec::Node { addr: addr.clone(), height, metas });
             }
             level = next;
@@ -510,33 +550,21 @@ impl ProcessTree {
         };
         fan_out(&self.frontier, &request)
     }
-
-    /// Test knob: make shard `shard`'s primary worker sleep before every
-    /// answer — the controlled way to drive a deadline expiry.
-    pub fn delay_primary(&self, shard: usize, delay: Duration) -> Result<()> {
-        let addr = self.leaf_primaries.get(shard).ok_or_else(|| {
-            Error::Data(format!("no such shard {shard} (have {})", self.leaf_primaries.len()))
-        })?;
-        let mut client = RpcClient::new(addr.clone(), self.compress);
-        expect_ack(
-            client.call(&Request::Delay { micros: delay.as_micros() as u64 }, STARTUP_TIMEOUT)?,
-            "delay",
-        )
-        .map(|_| ())
-    }
 }
 
 impl Drop for ProcessTree {
     fn drop(&mut self) {
         // Polite first: a Shutdown request lets workers exit cleanly.
-        for addr in &self.addrs {
+        for (addr, _) in &self.processes {
             let mut client = RpcClient::new(addr.clone(), false);
             let _ = client.call(&Request::Shutdown, Duration::from_millis(200));
         }
-        // Then force: dropping the guards kills and reaps whatever is
-        // left — a wedged worker must not leak past its cluster.
+        // Then force: dropping the guards kills and reaps whatever process
+        // is left — a wedged worker must not leak past its cluster — and
+        // local nodes shut down and join their threads.
         self.processes.clear();
-        let _ = std::fs::remove_dir_all(&self.dir);
+        self.locals.clear();
+        let _ = std::fs::remove_dir_all(std::env::temp_dir().join(&self.id));
     }
 }
 

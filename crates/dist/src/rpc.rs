@@ -1,5 +1,11 @@
 //! The RPC boundary of the §4 computation tree.
 //!
+//! **Links.** A parent reaches each child through a [`Link`]: a socket to
+//! a worker process, or the executor queue of a node on a thread of the
+//! same process ([`crate::node::LocalClient`], requests unencoded).
+//! Everything below about budgets, hedging and typed faults holds for both;
+//! the framing and compression sections apply to sockets only.
+//!
 //! **Transport.** Frames travel over a socket-shape-agnostic [`Stream`]:
 //! `unix:<path>` sockets for the single-box process split, `tcp:<host:port>`
 //! for multi-host trees (loopback TCP today, real hosts tomorrow — TCP
@@ -44,8 +50,8 @@
 //! **Hedged replica racing.** A leaf pair is queried by racing: the
 //! primary is asked first, and if it has not answered within the hedge
 //! delay (derived by the driver from observed queue delays), the replica
-//! is launched *in parallel* — first answer wins, the loser's socket is
-//! shut down via [`CancelToken`]. A straggling primary therefore costs
+//! is launched *in parallel* — first answer wins, the loser is interrupted
+//! via [`CancelToken`]. A straggling primary therefore costs
 //! one hedge delay, not its whole budget, and every hedge doubles as
 //! replica cache warming. Failures are typed ([`RpcError`]): transport
 //! faults (`Deadline`, `PeerGone`, `Decode`, `ConnRefused`) let the other
@@ -61,7 +67,9 @@
 
 use crate::chaos::ChaosDirective;
 use crate::meta::{self, ShardMeta};
+use crate::node::{LocalClient, Wake};
 use pd_common::rng::Rng;
+use pd_common::sync::Mutex;
 use pd_common::wire::{self, Decode, Encode, FrameHeader, Reader};
 use pd_common::{fx_hash64, Error, Result, Row, RpcError, Schema};
 use pd_compress::{Codec, CodecKind};
@@ -100,17 +108,22 @@ fn frame_codec() -> &'static dyn Codec {
 
 // --- addresses --------------------------------------------------------------
 
-/// A tree-node endpoint in either socket shape.
+/// A tree-node endpoint: a socket in either shape, or a node running on a
+/// thread of the current process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Addr {
     /// A filesystem socket: `unix:/tmp/pd-tree-1/l0p.sock`.
     Unix(PathBuf),
     /// A TCP endpoint: `tcp:127.0.0.1:41233`.
     Tcp(String),
+    /// A [`crate::node::LocalNode`] in this process: `local:pd-tree-1/l0p`. Only
+    /// meaningful inside the process that bound it; anywhere else nothing
+    /// answers there, exactly like a stale socket path.
+    Local(String),
 }
 
 impl Addr {
-    /// Parse the textual form (`unix:<path>` / `tcp:<host:port>`); a bare
+    /// Parse a socket address (`unix:<path>` / `tcp:<host:port>`); a bare
     /// path is shorthand for a Unix socket.
     pub fn parse(s: &str) -> Result<Addr> {
         if let Some(path) = s.strip_prefix("unix:") {
@@ -129,9 +142,14 @@ impl Addr {
         }
     }
 
-    /// Connect a [`Stream`] to this endpoint.
+    /// Connect a [`Stream`] to this endpoint. A local node has no socket:
+    /// connecting to one is refused (use a [`Link`]).
     pub fn connect(&self) -> std::io::Result<Stream> {
         match self {
+            Addr::Local(name) => Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("local:{name} is not a socket"),
+            )),
             Addr::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
             Addr::Tcp(hostport) => {
                 let stream = TcpStream::connect(hostport.as_str())?;
@@ -148,6 +166,7 @@ impl std::fmt::Display for Addr {
         match self {
             Addr::Unix(path) => write!(f, "unix:{}", path.display()),
             Addr::Tcp(hostport) => write!(f, "tcp:{hostport}"),
+            Addr::Local(name) => write!(f, "local:{name}"),
         }
     }
 }
@@ -168,6 +187,10 @@ impl Encode for Addr {
                 out.push(1);
                 hostport.encode(out);
             }
+            Addr::Local(name) => {
+                out.push(2);
+                name.encode(out);
+            }
         }
     }
 }
@@ -177,6 +200,7 @@ impl Decode for Addr {
         Ok(match r.u8()? {
             0 => Addr::Unix(PathBuf::from(String::decode(r)?)),
             1 => Addr::Tcp(String::decode(r)?),
+            2 => Addr::Local(String::decode(r)?),
             other => return Err(Error::Data(format!("wire: invalid addr tag {other}"))),
         })
     }
@@ -270,6 +294,9 @@ impl Listener {
                 TcpListener::bind(hostport.as_str())
                     .map_err(|e| Error::Data(format!("bind tcp:{hostport}: {e}")))?,
             )),
+            Addr::Local(name) => {
+                Err(Error::Data(format!("bind local:{name}: local nodes have no listener")))
+            }
         }
     }
 
@@ -323,9 +350,6 @@ pub enum Request {
     Append(Box<AppendRequest>),
     /// Execute / fan out one query.
     Query(Box<QueryRequest>),
-    /// Test knob: delay every subsequent query answer by this much (how
-    /// the deadline-expiry failover suite makes a worker miss deadlines).
-    Delay { micros: u64 },
     /// Exit the worker process (acknowledged first).
     Shutdown,
 }
@@ -337,7 +361,7 @@ pub struct LoadRequest {
     pub schema: Schema,
     pub rows: Vec<Row>,
     pub build: BuildOptions,
-    /// Worker thread count for chunk scans (0 = auto, as in-process).
+    /// Thread count for the leaf's chunk scans (0 = auto).
     pub threads: u64,
     /// This shard's share of the uncompressed-cache byte budget.
     pub cache_budget: u64,
@@ -490,7 +514,7 @@ impl SubtreeAnswer {
 /// Worker → parent messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Ack for `Ping` / `Attach` / `Delay` / `Shutdown`.
+    /// Ack for `Ping` / `Attach` / `Shutdown`.
     Ok,
     /// Ack for `Load`: the built shard's metadata summary (row/chunk
     /// totals, per-column value sets and extremes).
@@ -518,7 +542,8 @@ const REQ_PING: u8 = 0;
 const REQ_LOAD: u8 = 1;
 const REQ_ATTACH: u8 = 2;
 const REQ_QUERY: u8 = 3;
-const REQ_DELAY: u8 = 4;
+// Tag 4 was the retired `Delay` knob (persistent stragglers are chaos
+// directives now); it stays unassigned.
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_APPEND: u8 = 6;
 
@@ -562,10 +587,6 @@ impl Encode for Request {
                 append.delta.encode(out);
                 append.epoch.encode(out);
             }
-            Request::Delay { micros } => {
-                out.push(REQ_DELAY);
-                micros.encode(out);
-            }
             Request::Shutdown => out.push(REQ_SHUTDOWN),
         }
     }
@@ -607,7 +628,6 @@ impl Decode for Request {
                 delta: TableDelta::decode(r)?,
                 epoch: r.u64()?,
             })),
-            REQ_DELAY => Request::Delay { micros: r.u64()? },
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Data(format!("wire: invalid request tag {other}"))),
         })
@@ -937,20 +957,47 @@ pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// A handle that cancels one in-flight call from *outside* the thread
 /// blocked on it: the hedge race hands the loser's token to the winner's
-/// side, which shuts the loser's socket down so its thread unblocks
-/// immediately instead of waiting out the budget.
-#[derive(Clone)]
+/// side, which interrupts the loser — a socket is shut down, a local call
+/// is woken — so its thread unblocks immediately instead of waiting out
+/// the budget.
+#[derive(Clone, Default)]
 pub struct CancelToken {
-    slot: Arc<pd_common::sync::Mutex<Option<Stream>>>,
+    slot: Arc<Mutex<Option<Interrupt>>>,
+}
+
+/// What a [`CancelToken`] pulls on.
+enum Interrupt {
+    /// A second handle on a process link's live connection.
+    Stream(Stream),
+    /// The wake-up channel of a local link's in-flight call.
+    Local(mpsc::Sender<Wake>),
 }
 
 impl CancelToken {
-    /// Shut down the connection this token watches (no-op when the client
-    /// is not connected — a cancelled connect simply never sends).
+    /// Interrupt the call this token watches (no-op when none is in
+    /// flight — a cancelled connect simply never sends).
     pub fn cancel(&self) {
-        if let Some(stream) = self.slot.lock().take() {
-            let _ = stream.shutdown();
+        match self.slot.lock().take() {
+            Some(Interrupt::Stream(stream)) => {
+                let _ = stream.shutdown();
+            }
+            Some(Interrupt::Local(wake)) => {
+                let _ = wake.send(Wake::Cancelled);
+            }
+            None => {}
         }
+    }
+
+    fn arm_stream(&self, stream: Option<Stream>) {
+        *self.slot.lock() = stream.map(Interrupt::Stream);
+    }
+
+    pub(crate) fn arm_local(&self, wake: mpsc::Sender<Wake>) {
+        *self.slot.lock() = Some(Interrupt::Local(wake));
+    }
+
+    pub(crate) fn disarm(&self) {
+        self.slot.lock().take();
     }
 }
 
@@ -964,8 +1011,8 @@ pub struct RpcClient {
     /// Negotiated mode: compress outgoing payloads and advertise that
     /// compressed replies are welcome.
     compress: bool,
-    /// A second handle on the live stream, shared with [`CancelToken`]s.
-    cancel_slot: Arc<pd_common::sync::Mutex<Option<Stream>>>,
+    /// Armed with the live stream while a call is in flight.
+    cancel: CancelToken,
     /// Seeded jitter for connect backoff — keyed off the address so two
     /// clients hammering the same crashed worker desynchronize, while a
     /// given tree's retry schedule stays reproducible.
@@ -975,13 +1022,7 @@ pub struct RpcClient {
 impl RpcClient {
     pub fn new(addr: Addr, compress: bool) -> RpcClient {
         let jitter = Rng::seed_from_u64(fx_hash64(&addr.to_string()));
-        RpcClient {
-            addr,
-            stream: None,
-            compress,
-            cancel_slot: Arc::new(pd_common::sync::Mutex::new(None)),
-            jitter,
-        }
+        RpcClient { addr, stream: None, compress, cancel: CancelToken::default(), jitter }
     }
 
     pub fn addr(&self) -> &Addr {
@@ -989,19 +1030,9 @@ impl RpcClient {
     }
 
     /// A token that can cancel this client's in-flight call from another
-    /// thread. Valid across reconnects: the slot tracks the live stream.
+    /// thread. Valid across reconnects: each call arms it with its stream.
     pub fn cancel_token(&self) -> CancelToken {
-        CancelToken { slot: Arc::clone(&self.cancel_slot) }
-    }
-
-    fn adopt(&mut self, stream: Stream) {
-        *self.cancel_slot.lock() = stream.try_clone().ok();
-        self.stream = Some(stream);
-    }
-
-    fn drop_stream(&mut self) {
-        self.stream = None;
-        self.cancel_slot.lock().take();
+        self.cancel.clone()
     }
 
     /// Connect, retrying with jittered exponential backoff until `timeout`
@@ -1012,7 +1043,7 @@ impl RpcClient {
         loop {
             match self.addr.connect() {
                 Ok(stream) => {
-                    self.adopt(stream);
+                    self.stream = Some(stream);
                     return Ok(());
                 }
                 Err(e) => {
@@ -1038,8 +1069,11 @@ impl RpcClient {
     /// decision dispatches on the [`RpcError`] variant.
     pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
         let result = self.call_inner(request, timeout);
+        // A cancel reaches in-flight calls only: one landing between calls
+        // must not poison the idle connection for the next one.
+        self.cancel.disarm();
         if result.is_err() {
-            self.drop_stream();
+            self.stream = None;
         }
         result
     }
@@ -1057,6 +1091,7 @@ impl RpcClient {
             .stream
             .as_mut()
             .ok_or_else(|| Error::Internal("rpc: stream vanished after connect".into()))?;
+        self.cancel.arm_stream(stream.try_clone().ok());
         stream.set_write_timeout(Some(budget_left(deadline)?))?;
         write_frame(stream, request, self.compress)?;
         read_frame_deadline::<Response>(stream, deadline)
@@ -1073,7 +1108,7 @@ impl RpcClient {
         for attempt in 1.. {
             match self.addr.connect() {
                 Ok(stream) => {
-                    self.adopt(stream);
+                    self.stream = Some(stream);
                     return Ok(());
                 }
                 Err(e) => {
@@ -1093,16 +1128,52 @@ impl RpcClient {
     }
 }
 
+/// One parent→child link: a socket to a worker process, or the executor
+/// queue of a node on a thread of this process. Everything above the link
+/// — pruning, budgets, failover, hedged racing — is the same code for
+/// both; only the delivery differs.
+pub enum Link {
+    Process(RpcClient),
+    Local(LocalClient),
+}
+
+impl Link {
+    /// The link to `addr`: local addresses get the in-memory queue, socket
+    /// addresses a (lazily connected) [`RpcClient`].
+    pub fn new(addr: Addr, compress: bool) -> Link {
+        match addr {
+            Addr::Local(name) => Link::Local(LocalClient::new(name)),
+            addr => Link::Process(RpcClient::new(addr, compress)),
+        }
+    }
+
+    /// Send `request`, wait up to `timeout` for the response; failures are
+    /// typed [`RpcError`]s on either link.
+    pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
+        match self {
+            Link::Process(client) => client.call(request, timeout),
+            Link::Local(client) => client.call(request, timeout),
+        }
+    }
+
+    pub fn cancel_token(&self) -> CancelToken {
+        match self {
+            Link::Process(client) => client.cancel_token(),
+            Link::Local(client) => client.cancel_token(),
+        }
+    }
+}
+
 // --- shared fan-out (driver root and merge servers) ------------------------
 
 /// A child the current node queries: its spec plus lazily connected
-/// clients. Clients sit behind mutexes so a `&self` fan-out can run one
-/// thread per child (concurrent queries to the *same* child serialize,
-/// which is exactly a per-connection queue).
+/// links. Links sit behind mutexes so a `&self` fan-out can run one thread
+/// per child (concurrent queries to the *same* child serialize, which is
+/// exactly a per-connection queue).
 pub struct ChildHandle {
     pub spec: ChildSpec,
-    primary: pd_common::sync::Mutex<RpcClient>,
-    replica: Option<pd_common::sync::Mutex<RpcClient>>,
+    primary: Mutex<Link>,
+    replica: Option<Mutex<Link>>,
 }
 
 impl ChildHandle {
@@ -1113,8 +1184,8 @@ impl ChildHandle {
         };
         ChildHandle {
             spec,
-            primary: pd_common::sync::Mutex::new(RpcClient::new(primary, compress)),
-            replica: replica.map(|r| pd_common::sync::Mutex::new(RpcClient::new(r, compress))),
+            primary: Mutex::new(Link::new(primary, compress)),
+            replica: replica.map(|r| Mutex::new(Link::new(r, compress))),
         }
     }
 
@@ -1258,16 +1329,17 @@ impl ChildHandle {
         }
     }
 
-    /// The hedged replica race. The primary is asked immediately; if it
-    /// has neither answered nor failed within the hedge delay, the
-    /// replica is launched *in parallel* and the first answer wins — the
-    /// loser's socket is shut down so its thread unblocks right away. A
-    /// primary that fails *fast* (refused connect, reset) skips the wait
-    /// and fails over immediately; one that fails *slow* loses the race
-    /// it is already in. Returns `(answer, answered_by_replica)`.
+    /// The hedged replica race. The primary is asked immediately, on the
+    /// calling thread; if it has neither answered nor failed within the
+    /// hedge delay, the replica is launched *in parallel* and the first
+    /// answer wins — the loser is interrupted through its [`CancelToken`]
+    /// so its side unblocks right away. A primary that fails *fast*
+    /// (refused connect, reset) skips the wait and fails over immediately;
+    /// one that fails *slow* loses the race it is already in. Returns
+    /// `(answer, answered_by_replica)`.
     fn race(
         &self,
-        replica: &pd_common::sync::Mutex<RpcClient>,
+        replica: &Mutex<Link>,
         message: &Request,
         request: &QueryRequest,
         hedged: &AtomicBool,
@@ -1277,67 +1349,56 @@ impl ChildHandle {
         let hedge = Duration::from_micros(request.hedge_micros);
         let primary_token = self.primary.lock().cancel_token();
         let replica_token = replica.lock().cancel_token();
-        let (outcome_tx, outcome_rx) = mpsc::channel::<(bool, LeafOutcome)>();
         let (primary_done_tx, primary_done_rx) = mpsc::channel::<bool>();
         std::thread::scope(|scope| {
-            let primary_tx = outcome_tx.clone();
-            scope.spawn(move || {
-                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                let outcome = classify(self.primary.lock().call(message, budget));
-                let answered = matches!(outcome, LeafOutcome::Answer(_));
-                let _ = primary_done_tx.send(answered);
-                let _ = primary_tx.send((false, outcome));
-            });
-            let replica_tx = outcome_tx;
-            scope.spawn(move || {
+            let replica_side = scope.spawn(move || {
                 match primary_done_rx.recv_timeout(hedge) {
                     // The primary answered inside the hedge window — the
                     // common, healthy case: no replica call at all.
-                    Ok(true) => return,
+                    Ok(true) => return None,
                     // The primary failed fast: immediate failover, not a
                     // hedge (the race was never close).
                     Ok(false) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
                     // Hedge fires: the primary is still out there.
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        hedged.store(true, Ordering::Relaxed);
-                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => hedged.store(true, Ordering::Relaxed),
                 }
                 // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
                 let outcome = classify(replica.lock().call(message, budget));
-                let _ = replica_tx.send((true, outcome));
-            });
-            let mut failures: Vec<(bool, Error)> = Vec::new();
-            while let Ok((is_replica, outcome)) = outcome_rx.recv() {
-                match outcome {
-                    LeafOutcome::Answer(answer) => {
-                        // First answer wins; unblock the loser now.
-                        if is_replica {
-                            primary_token.cancel();
-                        } else {
-                            replica_token.cancel();
-                        }
-                        return Ok((answer, is_replica));
-                    }
-                    LeafOutcome::Fatal(e) => {
-                        primary_token.cancel();
-                        replica_token.cancel();
-                        return Err(e);
-                    }
-                    LeafOutcome::Failed(e) => failures.push((is_replica, e)),
+                if !matches!(outcome, LeafOutcome::Failed(_)) {
+                    // An answer wins, and a deterministic error would only
+                    // repeat: either way the primary's call is moot.
+                    primary_token.cancel();
                 }
+                Some(outcome)
+            });
+            // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
+            let primary = classify(self.primary.lock().call(message, budget));
+            let _ = primary_done_tx.send(matches!(primary, LeafOutcome::Answer(_)));
+            let primary_err = match primary {
+                LeafOutcome::Answer(answer) => {
+                    replica_token.cancel();
+                    return Ok((answer, false));
+                }
+                LeafOutcome::Fatal(e) => {
+                    replica_token.cancel();
+                    return Err(e);
+                }
+                LeafOutcome::Failed(e) => e,
+            };
+            match replica_side.join().expect("replica race thread panicked") {
+                Some(LeafOutcome::Answer(answer)) => Ok((answer, true)),
+                Some(LeafOutcome::Fatal(e)) => Err(e),
+                // Both copies failed: combine, preferring the primary's
+                // typed variant.
+                Some(LeafOutcome::Failed(replica_err)) => {
+                    Err(both_failed(shard, primary_err, replica_err))
+                }
+                None => Err(both_failed(
+                    shard,
+                    primary_err,
+                    Error::Rpc(RpcError::PeerGone("replica never ran".into())),
+                )),
             }
-            // Both copies sent a Failed (the channel closed with no
-            // Answer): combine, preferring the primary's typed variant.
-            let primary_err = failures
-                .iter()
-                .position(|(is_replica, _)| !is_replica)
-                .map(|i| failures.remove(i).1)
-                .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("primary never ran".into())));
-            let replica_err = failures
-                .pop()
-                .map(|(_, e)| e)
-                .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("replica never ran".into())));
-            Err(both_failed(shard, primary_err, replica_err))
         })
     }
 }
@@ -1413,15 +1474,20 @@ fn unpack(response: Response) -> Result<Option<SubtreeAnswer>> {
 }
 
 /// Fan a query out to every child concurrently and fold the answers in
-/// fixed child order — the same associative merge the in-process cluster
-/// uses, so the tree shape cannot change the result. Children pruned by
-/// shard metadata never spawn a network hop (their synthesized skip
-/// answers fold in the same order).
+/// fixed child order — the same associative merge every tree level uses,
+/// so the tree shape cannot change the result. Children pruned by shard
+/// metadata never spend a hop (their synthesized skip answers fold in the
+/// same order).
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
+    // The first child runs on the calling thread: one thread spawn fewer
+    // per fan-out, none at all for a single child.
     let answers: Vec<Result<SubtreeAnswer>> = std::thread::scope(|scope| {
+        let Some((first, rest)) = children.split_first() else { return Vec::new() };
         let handles: Vec<_> =
-            children.iter().map(|child| scope.spawn(move || child.query(request))).collect();
-        handles.into_iter().map(|h| h.join().expect("child query thread panicked")).collect()
+            rest.iter().map(|child| scope.spawn(move || child.query(request))).collect();
+        let mut answers = vec![first.query(request)];
+        answers.extend(handles.into_iter().map(|h| h.join().expect("child query thread panicked")));
+        answers
     });
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
@@ -1479,6 +1545,12 @@ mod tests {
                         height: 2,
                         metas: vec![sample_meta(), sample_meta()],
                     },
+                    ChildSpec::Leaf {
+                        shard: 1,
+                        primary: Addr::Local("pd-tree-1-0/l1p".into()),
+                        replica: None,
+                        meta: sample_meta(),
+                    },
                 ],
                 compress: true,
                 cache_entries: 32,
@@ -1515,7 +1587,6 @@ mod tests {
                 .unwrap(),
                 epoch: 9,
             })),
-            Request::Delay { micros: 5000 },
             Request::Shutdown,
         ];
         for request in requests {
@@ -1565,6 +1636,9 @@ mod tests {
         let tcp = Addr::parse("tcp:127.0.0.1:4000").unwrap();
         assert_eq!(tcp, Addr::Tcp("127.0.0.1:4000".into()));
         assert_eq!(Addr::parse(&tcp.to_string()).unwrap(), tcp);
+        let local = Addr::Local("pd-tree-7-0/m1_0".into());
+        assert_eq!(local.to_string(), "local:pd-tree-7-0/m1_0");
+        assert!(local.connect().is_err(), "a local node has no socket");
         // Bare paths are unix shorthand; garbage is rejected.
         assert_eq!(Addr::parse("/tmp/w.sock").unwrap(), Addr::Unix("/tmp/w.sock".into()));
         assert!(Addr::parse("tcp:noport").is_err());
@@ -1576,10 +1650,10 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         let (mut a, mut b) = (Stream::Unix(a), Stream::Unix(b));
         write_frame(&mut a, &Request::Ping, false).unwrap();
-        write_frame(&mut a, &Request::Delay { micros: 9 }, true).unwrap();
+        write_frame(&mut a, &Request::Shutdown, true).unwrap();
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), Some(Request::Ping));
-        let (delay, accepts) = read_frame_negotiated::<Request>(&mut b).unwrap().unwrap();
-        assert_eq!(delay, Request::Delay { micros: 9 });
+        let (shutdown, accepts) = read_frame_negotiated::<Request>(&mut b).unwrap().unwrap();
+        assert_eq!(shutdown, Request::Shutdown);
         assert!(accepts, "compress-mode senders advertise compressed replies");
         drop(a);
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), None, "clean EOF");

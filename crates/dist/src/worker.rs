@@ -1,40 +1,11 @@
-//! The worker process: one node of the §4 computation tree.
+//! The worker process: a tree node served over sockets.
 //!
 //! `pd-dist-worker --listen <unix:path | tcp:host:port>` binds a socket in
-//! either shape and serves the [`crate::rpc`] protocol. With
-//! `--listen tcp:host:0` the OS picks the port; `--announce <file>` makes
-//! the worker write its resolved address there (atomically, via rename) so
-//! the spawner can find it. What kind of node the worker becomes is
-//! decided by the driver after startup:
-//!
-//! - a [`Request::Load`] turns it into a **leaf server**: it imports the
-//!   shipped rows with the shipped [`pd_core::BuildOptions`] (building
-//!   exactly the store the in-process cluster would), summarizes the shard
-//!   into a [`crate::meta::ShardMeta`] (answered as [`Response::Loaded`],
-//!   so parents can pre-skip it later), and answers queries by executing
-//!   the shipped [`pd_sql::AnalyzedQuery`] — no SQL parsing on any hop;
-//! - a [`Request::Attach`] turns it into a **merge server** ("mixer"): it
-//!   owns a subtree of children, fans queries out to them, folds their
-//!   partials with the same associative merge the root uses, applies the
-//!   replica-failover rule to its leaf children, and **prunes children
-//!   whose shard metadata cannot match the query's restriction** before
-//!   spending any network hop;
-//! - a [`Request::Append`] streams new rows into an existing **leaf**
-//!   in place: the worker applies the dictionary-delta table to its
-//!   resident store (existing codes stay stable, new codes append),
-//!   re-derives the shard summary for the new chunks only, drops every
-//!   resident cache layer, adopts the shipped epoch, and acks with the
-//!   refreshed [`crate::meta::ShardMeta`] — no respawn, no re-import.
-//!
-//! Either role owns a [`crate::shard_cache::WorkerCache`] (capacity
-//! shipped in `Load`/`Attach`): repeated queries with the same normalized
-//! signature answer from the node's cached partial — a leaf skips its
-//! scan, a merge server skips its *entire subtree fan-out* — with the hit
-//! recorded in [`pd_core::ScanStats::worker_cache_hits`] and every shard
-//! report flagged `cache_hit`. Invalidation is the **rebuild epoch**: the
-//! driver bumps it on [`crate::Cluster::rebuild`], every `Load`/`Attach`/
-//! `Query` carries it, and a node that sees the epoch move drops its
-//! cache before doing anything else.
+//! either shape and serves the [`crate::rpc`] protocol to the node of
+//! [`crate::node`] — the same leaf/merge-server code a local tree runs on
+//! threads. With `--listen tcp:host:0` the OS picks the port;
+//! `--announce <file>` makes the worker write its resolved address there
+//! (atomically, via rename) so the spawner can find it.
 //!
 //! **Compression mirror.** The worker has no compression config of its
 //! own: it compresses a response exactly when the request frame advertised
@@ -42,38 +13,23 @@
 //! its children when the `Attach` said to — the per-connection negotiation
 //! travels down the tree with the wiring.
 //!
-//! **Measured queue delays.** Connections are accepted and read on their
-//! own threads, but all requests funnel through a single executor thread.
-//! The time a request spends between arrival and execution is this
-//! process's *real* queue delay — measured with a monotonic clock inside
-//! one process, no cross-process clock games — and it rides up the tree in
-//! every [`ShardReport`]: a merge server adds its own queueing to each of
-//! its shards' reports. That observation stream is what replaces the
-//! seeded [`crate::LoadModel`] draws when the cluster runs over RPC. The
-//! `Delay` test knob deliberately lives *outside* this pipeline: the
-//! artificial sleep happens on the delayed query's own connection thread,
-//! after execution and before the reply — it is service time of that
-//! query alone (the caller still sees a worker that blows its deadline),
-//! and it never inflates the measured queue delay of unrelated requests
-//! behind it.
+//! **One executor, many connections.** Connections are accepted and read
+//! on their own threads, but every request funnels through the node's
+//! single executor, whose queue delay is the process's *real* queueing.
+//! The connection thread carries out the chaos verdict for its own query:
+//! it sleeps off an injected delay *after* the executor has moved on, and
+//! wrecks the reply (reset or torn frame) on the wire. A chaos kill ends
+//! the executor, and the process with it.
 
-use crate::chaos::ChaosFault;
-use crate::meta::{self, ShardMeta};
+use crate::node::{run_executor, ReplyTo, Wake, WireFault, Work};
 use crate::rpc::{
-    encode_frame, fan_out, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener,
-    LoadRequest, QueryRequest, Request, Response, ShardReport, Stream, SubtreeAnswer,
+    encode_frame, read_frame_negotiated, write_frame, Addr, Listener, Request, Response, Stream,
 };
-use crate::shard_cache::{query_signature, CachedSubtree, WorkerCache};
-use pd_common::{Error, Result, RpcError, Value};
-use pd_core::{
-    execute_partial_seeded, CachePolicy, DataStore, ExecContext, ResultCache, TieredCache,
-};
-use pd_data::Table;
+use pd_common::{Error, Result};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Entry point for the `pd-dist-worker` binary: parse the listen address,
 /// serve forever (until a `Shutdown` request or a fatal error). Returns
@@ -114,69 +70,6 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// A leaf's executable state.
-struct LeafStore {
-    shard: u64,
-    store: DataStore,
-    ctx: ExecContext,
-    /// The shard's own metadata (the same object the `Loaded` ack ships):
-    /// queries with chunk pruning enabled seed their scan with the
-    /// per-chunk verdicts instead of re-deriving them per query plan.
-    meta: ShardMeta,
-}
-
-/// What this worker currently is. `Load` and `Attach` are role
-/// assignments from the driver; each one *replaces* the previous role
-/// outright — a repurposed worker must never answer from a shadowed
-/// store or a stale child list.
-#[derive(Default)]
-struct Role {
-    leaf: Option<LeafStore>,
-    children: Option<Vec<ChildHandle>>,
-    /// This node's own result cache (`None` = disabled by the driver).
-    cache: Option<WorkerCache>,
-    /// Rebuild epoch of the data this node serves; a query from a
-    /// different epoch drops the cache (its partials describe old data).
-    epoch: u64,
-    /// This node's tree-wide name (`l0p`, `m1_0`, ...), assigned with the
-    /// role — the key chaos directives are matched against.
-    name: String,
-    /// Test knob: artificial delay before query answers reach the wire.
-    delay: Duration,
-}
-
-impl Role {
-    /// Install a fresh role's cache + epoch (shared by `Load`/`Attach`).
-    fn reset_cache(&mut self, cache_entries: u64, epoch: u64) {
-        self.cache = (cache_entries > 0).then(|| WorkerCache::new(cache_entries as usize));
-        self.epoch = epoch;
-    }
-}
-
-/// How a response should reach the wire: after `lag` sleep (the `Delay`
-/// knob plus any chaos delay), and — under chaos — sabotaged instead of
-/// sent whole.
-#[derive(Default)]
-struct ReplyMode {
-    lag: Duration,
-    fault: Option<WireFault>,
-}
-
-/// Chaos sabotage applied by the *connection* thread, after execution:
-/// the executor stays correct, only this query's bytes are wrecked.
-enum WireFault {
-    /// Close the connection without replying.
-    Reset,
-    /// Write half the reply frame, then close.
-    Torn,
-}
-
-struct Work {
-    request: Request,
-    reply: mpsc::Sender<(Response, ReplyMode)>,
-    enqueued: Instant,
-}
-
 /// The temp file an announce is staged in before its atomic rename. The
 /// name keeps the *full* announce file name (two workers announcing to
 /// `w.1` and `w.2` must not both stage in `w.tmp`, as `with_extension`
@@ -200,36 +93,14 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
         std::fs::rename(&tmp, announce)?;
     }
     let (queue, requests) = mpsc::channel::<Work>();
-
-    // The single executor owns the role outright: requests run strictly in
-    // arrival order (the gap between enqueue and dequeue is this process's
-    // queue delay), and nothing else ever touches the state — connection
-    // threads only feed the queue. The artificial `Delay` is handed back
-    // with the response and slept off on the connection thread: it is
-    // service time of that query only, never executor time that would
-    // inflate the measured queue delay of whatever sits behind it.
     std::thread::Builder::new()
         .name("pd-worker-exec".into())
         .spawn(move || {
-            let mut role = Role::default();
-            for work in requests {
-                let queued = work.enqueued.elapsed();
-                let is_query = matches!(work.request, Request::Query(_));
-                let mut mode = ReplyMode::default();
-                let response = handle(&mut role, work.request, queued, &mut mode).unwrap_or_else(
-                    |e| match e {
-                        // Typed robustness failures cross the wire as
-                        // `Fault` so the parent's policy can dispatch on
-                        // the variant; anything else is an app error.
-                        Error::Rpc(fault) => Response::Fault(fault),
-                        e => Response::Err(e.to_string()),
-                    },
-                );
-                if is_query {
-                    mode.lag += role.delay;
-                }
-                let _ = work.reply.send((response, mode));
-            }
+            run_executor(requests);
+            // The executor only returns on a chaos kill (`Shutdown` is
+            // answered on the connection thread, and this function keeps
+            // the queue open): the process dies with it, mid-query.
+            std::process::exit(9);
         })
         .map_err(|e| Error::Data(format!("spawn executor: {e}")))?;
 
@@ -273,17 +144,16 @@ fn connection_loop(mut stream: Stream, queue: mpsc::Sender<Work>) {
                 std::process::exit(0);
             }
             request => {
-                let (reply, response) = mpsc::channel();
-                if queue.send(Work { request, reply, enqueued: Instant::now() }).is_err() {
+                let (reply, wake) = mpsc::channel();
+                let work = Work { request, reply: ReplyTo::new(reply), enqueued: Instant::now() };
+                if queue.send(work).is_err() {
                     return; // executor gone; process is doomed anyway
                 }
-                let Ok((response, mode)) = response.recv() else { return };
+                let Ok(Wake::Reply(response, mode)) = wake.recv() else { return };
                 if !mode.lag.is_zero() {
-                    // The Delay test knob (plus chaos delays): this
-                    // query's answer is late from the caller's point of
-                    // view (the budget-expiry suite's "slow worker"), but
-                    // the executor is already free — the sleep is this
-                    // connection's alone.
+                    // A chaos delay: this query's answer is late from the
+                    // caller's point of view, but the executor is already
+                    // free — the sleep is this connection's alone.
                     std::thread::sleep(mode.lag);
                 }
                 match mode.fault {
@@ -309,222 +179,6 @@ fn connection_loop(mut stream: Stream, queue: mpsc::Sender<Work>) {
             }
         }
     }
-}
-
-fn handle(
-    role: &mut Role,
-    request: Request,
-    queued: Duration,
-    mode: &mut ReplyMode,
-) -> Result<Response> {
-    match request {
-        Request::Load(load) => {
-            let (cache_entries, epoch) = (load.cache_entries, load.epoch);
-            role.name = load.name.clone();
-            let (leaf, meta) = build_leaf(*load)?;
-            role.leaf = Some(leaf);
-            // A role assignment is total: a worker repurposed from merge
-            // server to leaf must not keep (and silently prefer or leak)
-            // its old child wiring, and any cached partials describe the
-            // previous role's data.
-            role.children = None;
-            role.reset_cache(cache_entries, epoch);
-            Ok(Response::Loaded(Box::new(meta)))
-        }
-        Request::Attach(attach) => {
-            let compress = attach.compress;
-            role.name = attach.name;
-            role.children =
-                Some(attach.children.into_iter().map(|c| ChildHandle::new(c, compress)).collect());
-            // Same totality the other way: the old leaf store would shadow
-            // the freshly attached subtree.
-            role.leaf = None;
-            role.reset_cache(attach.cache_entries, attach.epoch);
-            Ok(Response::Ok)
-        }
-        Request::Append(append) => {
-            let Some(leaf) = role.leaf.as_mut() else {
-                return Err(Error::Data("Append sent to a worker that is not a leaf".into()));
-            };
-            if append.shard != leaf.shard {
-                return Err(Error::Data(format!(
-                    "Append for shard {} sent to leaf {}",
-                    append.shard, leaf.shard
-                )));
-            }
-            let old_chunks = leaf.store.chunk_count();
-            leaf.store.append_delta(&append.delta)?;
-            // Re-derive the shard summary in place: the new chunks' zone
-            // maps and the column blooms absorb exactly the delta rows, so
-            // parent-side pruning stays sound without a re-summarize scan
-            // of the resident data.
-            let columns = append.delta.materialized_columns();
-            let slices: Vec<&[Value]> = columns.iter().map(|c| c.as_slice()).collect();
-            let part = leaf.store.partitioning();
-            let new_chunk_rows: Vec<usize> =
-                (old_chunks..part.chunk_count()).map(|c| part.chunk_range(c).len()).collect();
-            let schema = leaf.store.schema().clone();
-            leaf.meta.absorb_delta(&schema, &slices, &new_chunk_rows);
-            // Every resident cache layer describes the pre-append data:
-            // drop chunk results and tiered entries, invalidate the
-            // subtree cache, and adopt the new epoch so queries carrying
-            // it are served fresh.
-            if let Some(results) = &leaf.ctx.result_cache {
-                results.clear();
-            }
-            if let Some(tiered) = &leaf.ctx.tiered {
-                tiered.clear();
-            }
-            let meta = leaf.meta.clone();
-            if let Some(cache) = &role.cache {
-                cache.invalidate();
-            }
-            role.epoch = append.epoch;
-            Ok(Response::Loaded(Box::new(meta)))
-        }
-        Request::Delay { micros } => {
-            role.delay = Duration::from_micros(micros);
-            Ok(Response::Ok)
-        }
-        Request::Query(mut query) => {
-            // Chaos first: injected faults must hit cache hits and budget
-            // expiries too — the sabotage is the wire's, not the plan's.
-            for directive in &query.chaos {
-                if directive.node == role.name {
-                    match directive.fault {
-                        // A mid-query crash: no reply byte ever leaves.
-                        ChaosFault::Kill => std::process::exit(9),
-                        ChaosFault::Delay(d) => mode.lag += d,
-                        ChaosFault::Reset => mode.fault = Some(WireFault::Reset),
-                        ChaosFault::Torn => mode.fault = Some(WireFault::Torn),
-                    }
-                }
-            }
-            // Decrement the budget by the time this request sat in our
-            // queue. Spent budgets fail typed and *immediately* — children
-            // are never asked to run a query nobody is waiting for.
-            let budget = query.budget.saturating_sub(queued);
-            if budget.is_zero() {
-                return Err(Error::Rpc(RpcError::Deadline(format!(
-                    "{}: budget spent after {queued:?} queued",
-                    role.name
-                ))));
-            }
-            query.budget = budget;
-            if query.epoch != role.epoch {
-                // The driver rebuilt the data since this node's cache was
-                // filled: every cached partial is stale. (Freshly respawned
-                // trees get the new epoch at Load/Attach, so this path is
-                // the guarantee for any node that survives a rebuild.)
-                if let Some(cache) = &role.cache {
-                    cache.invalidate();
-                }
-                role.epoch = query.epoch;
-            }
-            let signature = role.cache.as_ref().map(|_| {
-                let sketch_m = role.leaf.as_ref().map_or(0, |leaf| leaf.ctx.sketch_m());
-                query_signature(&query.query, sketch_m)
-            });
-            if let (Some(cache), Some(signature)) = (&role.cache, &signature) {
-                if let Some(entry) = cache.get(signature) {
-                    // The nearest-cache answer: identical partial, zero
-                    // child hops, every row beneath accounted as cached.
-                    return Ok(Response::Answer(Box::new(entry.to_answer(queued))));
-                }
-            }
-            let started = std::time::Instant::now();
-            let answer = if let Some(leaf) = &role.leaf {
-                execute_leaf(leaf, &query, queued)?
-            } else if let Some(children) = &role.children {
-                let mut answer = fan_out(children, &query)?;
-                for report in &mut answer.reports {
-                    // This merge server's own queueing delays every shard
-                    // beneath it.
-                    report.queue += queued;
-                }
-                answer
-            } else {
-                return Err(Error::Data(
-                    "worker has neither a store (Load) nor children (Attach)".into(),
-                ));
-            };
-            if let (Some(cache), Some(signature)) = (&role.cache, &signature) {
-                // Admission is cost-aware: what this node just spent
-                // computing the subtree answer (scan or fan-out + fold) is
-                // exactly what a future miss would spend again.
-                cache.put_costed(
-                    signature,
-                    Arc::new(CachedSubtree::capture(&answer)),
-                    started.elapsed(),
-                );
-            }
-            Ok(Response::Answer(Box::new(answer)))
-        }
-        Request::Ping => Ok(Response::Ok),
-        Request::Shutdown => Ok(Response::Ok), // handled inline; unreachable via queue
-    }
-}
-
-/// Import the shipped shard and summarize it. The store and context mirror
-/// what `Cluster::build_shards` constructs in-process, so the process
-/// split changes *where* the shard lives, not what it computes. The
-/// returned [`ShardMeta`] is the worker's own account of its data — value
-/// sets and extremes from the exact rows it serves, chunk count from the
-/// store it built — which is what makes parent-side pruning sound.
-fn build_leaf(load: LoadRequest) -> Result<(LeafStore, ShardMeta)> {
-    let mut meta = ShardMeta::summarize(load.shard, &load.schema, &load.rows);
-    let mut table = Table::new(load.schema);
-    for row in load.rows {
-        table.push_row(row)?;
-    }
-    let store = DataStore::build(&table, &load.build)?;
-    meta.chunks = store.chunk_count() as u64;
-    // The chunk-granular layers come from the *built* store: its
-    // partitioning says which imported rows each chunk scan would visit,
-    // so the per-chunk zone maps (and the blooms for degraded columns)
-    // describe exactly the data every query-time verdict must hold for.
-    let columns: Vec<&[Value]> =
-        (0..table.schema().fields().len()).map(|i| table.column(i)).collect();
-    meta.summarize_chunks(table.schema(), &columns, store.partitioning());
-    meta.build_blooms(table.schema(), &columns);
-    let ctx = ExecContext {
-        sketch_m: 0,
-        threads: load.threads as usize,
-        result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-        tiered: Some(Arc::new(TieredCache::new(
-            CachePolicy::Arc,
-            load.cache_budget as usize,
-            load.cache_budget as usize / 2,
-        ))),
-        kernels: Default::default(),
-    };
-    Ok((LeafStore { shard: load.shard, store, ctx, meta: meta.clone() }, meta))
-}
-
-fn execute_leaf(leaf: &LeafStore, query: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
-    let started = Instant::now();
-    // Seed the scan with the metadata verdicts the parent already pruned
-    // by: chunks the zone maps prove dead are skipped without consulting
-    // the dictionaries, and the sound-verdict lattice composes the rest
-    // with the local analysis (`seed.and(local)` — never less precise).
-    let seeds = (query.chunk_pruning && !leaf.meta.chunk_metas.is_empty())
-        .then(|| meta::chunk_verdicts(&query.query.restriction, &leaf.meta));
-    let (partial, stats) =
-        execute_partial_seeded(&leaf.store, &query.query, &leaf.ctx, seeds.as_deref())?;
-    Ok(SubtreeAnswer {
-        partial,
-        stats,
-        reports: vec![ShardReport {
-            shard: leaf.shard,
-            // The parent overwrites latency with its own wall-clock
-            // observation; the compute time is the fallback.
-            latency: started.elapsed(),
-            queue: queued,
-            failover: false,
-            hedged: false,
-            cache_hit: false,
-        }],
-    })
 }
 
 #[cfg(test)]

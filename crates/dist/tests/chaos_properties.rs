@@ -1,8 +1,8 @@
-//! The seeded chaos harness: drive the *real* process-split computation
-//! tree through 100 deterministic fault scenarios — process kills,
-//! connection resets, torn reply frames and injected delays, aimed at
-//! leaves, replicas and merge servers alike — and hold the robustness
-//! contract on every single one:
+//! The seeded chaos harness: drive the computation tree — once with local
+//! links, once split across real worker processes — through 100
+//! deterministic fault scenarios each: node kills, connection resets, torn
+//! replies and injected delays, aimed at leaves, replicas and merge
+//! servers alike. The robustness contract holds on every single one:
 //!
 //! 1. the query either returns rows **bit-identical** to the single-store
 //!    engine, or fails with a **clean typed** [`pd_common::RpcError`];
@@ -43,15 +43,33 @@ fn chaos_model(seed: u64) -> ChaosModel {
         delay_probability: 0.20,
         delay_range: (Duration::from_millis(1), Duration::from_millis(15)),
         kill_nodes: Vec::new(),
+        delay_nodes: Vec::new(),
     }
 }
 
-/// 5 seeds × 5 rounds × 4 queries = 100 injected scenarios. The tree is
-/// respawned between rounds (`rebuild`) so killed processes come back —
+/// Both links through the same tree code. The local case needs no worker
+/// binary.
+fn links() -> [(&'static str, Transport); 2] {
+    let unix = Transport::Rpc(RpcConfig {
+        worker_bin: Some(worker_bin()),
+        budget: Duration::from_secs(5),
+        ..Default::default()
+    });
+    [("local", Transport::InProcess), ("unix", unix)]
+}
+
+/// 5 seeds × 5 rounds × 4 queries = 100 injected scenarios per link. The
+/// tree is respawned between rounds (`rebuild`) so killed nodes come back —
 /// within a round, later queries also exercise the "peer already dead"
-/// paths (bounded connect retries, failover to the surviving replica).
+/// paths (refused calls, failover to the surviving replica).
 #[test]
 fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
+    for (link, transport) in links() {
+        injected_faults_yield_identical_rows_or_a_typed_error(link, transport);
+    }
+}
+
+fn injected_faults_yield_identical_rows_or_a_typed_error(link: &str, transport: Transport) {
     let table = generate_logs(&LogsSpec::scaled(600));
     let mut build = BuildOptions::production(&["country", "table_name"]);
     if let Some(spec) = &mut build.partition {
@@ -70,11 +88,7 @@ fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
             replication: true,
             build,
             tree: TreeShape { fanout: 2 },
-            transport: Transport::Rpc(RpcConfig {
-                worker_bin: Some(worker_bin()),
-                budget: Duration::from_secs(5),
-                ..Default::default()
-            }),
+            transport,
             ..Default::default()
         },
     )
@@ -91,7 +105,7 @@ fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
                         clean += 1;
                         assert_eq!(
                             &outcome.result, expect,
-                            "seed {seed:#x} round {round}: a query that survives injected \
+                            "{link} seed {seed:#x} round {round}: a query that survives injected \
                              faults must be bit-identical — a partial answer is corruption: \
                              {sql}"
                         );
@@ -100,14 +114,14 @@ fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
                                 + outcome.stats.rows_cached
                                 + outcome.stats.rows_scanned,
                             outcome.stats.rows_total,
-                            "seed {seed:#x} round {round}: accounting balances: {sql}"
+                            "{link} seed {seed:#x} round {round}: accounting balances: {sql}"
                         );
                     }
                     Err(err) => {
                         faulted += 1;
                         assert!(
                             matches!(err, Error::Rpc(_)),
-                            "seed {seed:#x} round {round}: an injected fault must surface \
+                            "{link} seed {seed:#x} round {round}: an injected fault must surface \
                              as a typed rpc error, got: {err} ({sql})"
                         );
                     }
@@ -119,14 +133,15 @@ fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
         }
     }
 
-    assert_eq!(scenarios, 100, "the harness must run the full scenario matrix");
+    assert_eq!(scenarios, 100, "{link}: the harness must run the full scenario matrix");
     assert!(
         clean >= 20,
-        "replication + hedging must absorb most single-node faults: only {clean}/100 clean"
+        "{link}: replication + hedging must absorb most single-node faults: \
+         only {clean}/100 clean"
     );
     assert!(
         faulted >= 5,
-        "these probabilities must produce some unrecoverable faults \
+        "{link}: these probabilities must produce some unrecoverable faults \
          (merge-server kills have no replica): only {faulted}/100 faulted"
     );
 }
@@ -141,7 +156,7 @@ fn chaos_outcomes_are_reproducible_by_seed() {
     if let Some(spec) = &mut build.partition {
         spec.max_chunk_rows = 100;
     }
-    let run = |seed: u64| -> Vec<bool> {
+    let run = |transport: &Transport, seed: u64| -> Vec<bool> {
         let mut cluster = Cluster::build(
             &table,
             &ClusterConfig {
@@ -149,11 +164,7 @@ fn chaos_outcomes_are_reproducible_by_seed() {
                 replication: false, // no failover: faults surface directly
                 build: build.clone(),
                 tree: TreeShape { fanout: 2 },
-                transport: Transport::Rpc(RpcConfig {
-                    worker_bin: Some(worker_bin()),
-                    budget: Duration::from_secs(5),
-                    ..Default::default()
-                }),
+                transport: transport.clone(),
                 ..Default::default()
             },
         )
@@ -174,7 +185,16 @@ fn chaos_outcomes_are_reproducible_by_seed() {
         }
         outcomes
     };
-    let a = run(7);
-    assert_eq!(a, run(7), "equal seeds must produce equal success patterns");
-    assert!(a.iter().any(|ok| !ok), "kill probability 0.25 over 8 queries x 3 nodes must kill");
+    for (link, transport) in links() {
+        let a = run(&transport, 7);
+        assert_eq!(
+            a,
+            run(&transport, 7),
+            "{link}: equal seeds must produce equal success patterns"
+        );
+        assert!(
+            a.iter().any(|ok| !ok),
+            "{link}: kill probability 0.25 over 8 queries x 3 nodes must kill"
+        );
+    }
 }

@@ -111,7 +111,7 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 chunk_pruning: rng.next_u64().is_multiple_of(2),
             }))
         }
-        2 => Request::Delay { micros: rng.next_u64() },
+        2 => Request::Shutdown,
         _ => Request::Ping,
     }
 }

@@ -312,12 +312,13 @@ fn queue_delays_are_measured_not_modeled() {
     // 1. a query that arrives while the single executor is busy with
     //    *real* work (here: a heavy shard import) reports a queue delay
     //    reflecting that genuine service time;
-    // 2. the artificial `Delay` knob is service time of the delayed query
+    // 2. an injected chaos delay is service time of the delayed query
     //    alone — the caller sees a late answer, but requests queued behind
     //    it do NOT report inflated queue delays, because the sleep happens
     //    off the executor.
     use pd_dist::rpc::{Addr, LoadRequest, QueryRequest, Request, Response, RpcClient};
     use pd_dist::ReapGuard;
+    use pd_dist::{ChaosDirective, ChaosFault};
     use pd_sql::{analyze, parse_query};
 
     let dir = std::env::temp_dir().join(format!("pd-queue-test-{}", std::process::id()));
@@ -351,32 +352,35 @@ fn queue_delays_are_measured_not_modeled() {
     assert!(matches!(setup.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
 
     let analyzed = analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap();
-    let query = Request::Query(Box::new(QueryRequest {
-        query: analyzed,
-        budget: Duration::from_secs(30),
-        hedge_micros: 0,
-        killed: Vec::new(),
-        epoch: 1,
-        chaos: Vec::new(),
-        chunk_pruning: true,
-    }));
-    let ask = |addr: Addr| -> (Duration, Duration) {
+    let query = |chaos: Vec<ChaosDirective>| {
+        Request::Query(Box::new(QueryRequest {
+            query: analyzed.clone(),
+            budget: Duration::from_secs(30),
+            hedge_micros: 0,
+            killed: Vec::new(),
+            epoch: 1,
+            chaos,
+            chunk_pruning: true,
+        }))
+    };
+    let ask_with = |addr: Addr, chaos: Vec<ChaosDirective>| -> (Duration, Duration) {
         let started = std::time::Instant::now();
         let mut client = RpcClient::new(addr, false);
-        match client.call(&query, Duration::from_secs(60)).unwrap() {
+        match client.call(&query(chaos), Duration::from_secs(60)).unwrap() {
             Response::Answer(answer) => (answer.reports[0].queue, started.elapsed()),
             other => panic!("expected an answer, got {other:?}"),
         }
     };
+    let ask = |addr: Addr| ask_with(addr, Vec::new());
 
-    // Claim 2 first (the store is still small): with a 250 ms artificial
-    // delay, two concurrent queries each answer late, yet neither reports
-    // the other's sleep as queueing.
+    // Claim 2 first (the store is still small): with a 250 ms chaos delay
+    // aimed at the leaf, two concurrent queries each answer late, yet
+    // neither reports the other's sleep as queueing.
     let delay = Duration::from_millis(250);
-    let knob = Request::Delay { micros: delay.as_micros() as u64 };
-    assert_eq!(setup.call(&knob, Duration::from_secs(10)).unwrap(), Response::Ok);
+    let delayed = || vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(delay) }];
     let observed: Vec<(Duration, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| ask(addr.clone()))).collect();
+        let handles: Vec<_> =
+            (0..2).map(|_| scope.spawn(|| ask_with(addr.clone(), delayed()))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (queue, elapsed) in &observed {
@@ -386,12 +390,10 @@ fn queue_delays_are_measured_not_modeled() {
         );
         assert!(
             *queue < Duration::from_millis(150),
-            "artificial delay is service time of its own query only — it must not \
+            "an injected delay is service time of its own query only — it must not \
              inflate the measured queue delay of the request behind it: {observed:?}"
         );
     }
-    let knob_off = Request::Delay { micros: 0 };
-    assert_eq!(setup.call(&knob_off, Duration::from_secs(10)).unwrap(), Response::Ok);
 
     // Claim 1: a heavy re-import (tens of thousands of rows through the
     // full production build pipeline) occupies the executor for a long

@@ -1,14 +1,18 @@
 //! Distributed execution (§4): shards, the computation-tree rewrite, and
-//! the primary/replica scheme riding out stragglers.
+//! the primary/replica scheme riding out stragglers — injected as seeded
+//! chaos delays, raced for real by the hedged replica path.
 //!
 //! ```bash
 //! cargo run --release --example distributed
 //! ```
 
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::{Cluster, ClusterConfig, DrillDownWorkload, LoadModel, WorkloadSpec};
+use powerdrill::dist::{
+    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, FailureModel, WorkloadSpec,
+};
 use powerdrill::sql::{distributed_plan, parse_query};
 use powerdrill::BuildOptions;
+use std::time::Duration;
 
 fn main() -> powerdrill::Result<()> {
     let rows = std::env::var("PD_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(200_000);
@@ -24,7 +28,17 @@ fn main() -> powerdrill::Result<()> {
         &ClusterConfig {
             shards: 8,
             build,
-            load: LoadModel { busy_probability: 0.25, blocked_probability: 0.05, seed: 1 },
+            // Each node stalls 5-40 ms on 5% of queries; replicas race the
+            // stalled primaries once the hedge delay passes.
+            failures: FailureModel {
+                chaos: ChaosModel {
+                    seed: 1,
+                    delay_probability: 0.05,
+                    delay_range: (Duration::from_millis(5), Duration::from_millis(40)),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
             ..Default::default()
         },
     )?;
@@ -40,10 +54,12 @@ fn main() -> powerdrill::Result<()> {
     let outcome = cluster.query(sql)?;
     println!("\n{}", outcome.result.render());
     println!(
-        "modeled end-to-end latency {:?} | slowest shard {:?} | fastest shard {:?}",
+        "measured end-to-end latency {:?} | slowest shard {:?} | fastest shard {:?} | \
+         hedged shards {:?}",
         outcome.latency,
         outcome.subquery_latencies.iter().max().unwrap(),
         outcome.subquery_latencies.iter().min().unwrap(),
+        outcome.hedges,
     );
 
     // A click's worth of drill-down queries, like the production workload.

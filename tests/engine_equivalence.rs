@@ -301,7 +301,7 @@ fn kernel_fast_paths_are_bit_identical_to_materializing() {
 
 /// Concurrent shard fan-out must be **bit-identical** to the single-store
 /// engine for every matrix query, at every tested combination of
-/// {shard count} × {threads} × {shard cache on/off} × {replication on/off}.
+/// {shard count} × {threads} × {node caches on/off} × {replication on/off}.
 ///
 /// This is a strong claim: different shard counts re-partition, reorder
 /// and re-chunk the rows, so even float `SUM`/`AVG` must not depend on
@@ -346,7 +346,7 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
                          replication={replication}"
                     );
                     // Two passes: the second exercises warm cache paths
-                    // (shard-level and chunk-level) and must change
+                    // (node-level and chunk-level) and must change
                     // nothing but the scan statistics.
                     for pass in 0..2 {
                         for (sql, want) in MATRIX_QUERIES.iter().zip(&expected) {
@@ -361,14 +361,18 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
                             );
                             assert_eq!(outcome.subquery_latencies.len(), cluster.shard_count());
                             if shard_cache > 0 && pass == 1 {
+                                // Default fanout: every leaf is a frontier
+                                // node, and each either answers from its
+                                // cache or is pruned without a hop.
                                 assert_eq!(
-                                    outcome.shard_cache_hits,
+                                    outcome.worker_cache_hits() + outcome.stats.subtrees_pruned,
                                     cluster.shard_count(),
-                                    "warm pass must reuse every shard partial: {label}: {sql}"
+                                    "warm pass must reuse every leaf partial: {label}: {sql}"
                                 );
+                                assert_eq!(outcome.stats.rows_scanned, 0, "{label}: {sql}");
                             }
                             if shard_cache == 0 {
-                                assert_eq!(outcome.shard_cache_hits, 0, "{label}");
+                                assert_eq!(outcome.worker_cache_hits(), 0, "{label}");
                             }
                         }
                     }
@@ -378,19 +382,18 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
     }
 }
 
-/// The transport axis: the same bit-identity must hold when the
-/// computation tree is **split across OS processes** — spawned
-/// `pd-dist-worker` leaves (and, at fanout 2, real intermediate merge
-/// servers) exchanging serialized partials over the RPC boundary, over
-/// Unix sockets *and* loopback TCP, with frame compression off and on.
-/// Matrix: {shards 1/2/4} × {tree depth ≤1 / 2 (fanout 16 / 2)} ×
-/// {in-process, unix, tcp, tcp+compressed} × {result caching off / on}.
-/// Each combination runs a cold and a warm pass (the warm pass serves
-/// from the workers' own result caches when caching is on — observable
-/// in `worker_cache_hits`, with *nothing* scanned anywhere), and at 4
-/// shards a **rebuild-then-requery** pass proves the epoch invalidation:
-/// after `Cluster::rebuild` with different data, every answer is the new
-/// data's, cold then warm again.
+/// The transport axis: the same bit-identity must hold whether the
+/// computation tree's nodes are linked locally or **split across OS
+/// processes** — spawned `pd-dist-worker` leaves (and, at fanout 2, real
+/// intermediate merge servers) exchanging serialized partials over Unix
+/// sockets *and* loopback TCP, with frame compression off and on. Matrix:
+/// {shards 1/2/4} × {tree depth ≤1 / 2 (fanout 16 / 2)} × {local, unix,
+/// tcp, tcp+compressed} × {result caching off / on}. Each combination runs
+/// a cold and a warm pass (the warm pass serves from the nodes' own result
+/// caches when caching is on — observable in `worker_cache_hits`, with
+/// *nothing* scanned anywhere), and at 4 shards a **rebuild-then-requery**
+/// pass proves the epoch invalidation: after `Cluster::rebuild` with
+/// different data, every answer is the new data's, cold then warm again.
 ///
 /// Exact `assert_eq!`, floats included: group keys, float sums
 /// (superaccumulator limbs) and sketches cross the wire bit-identically
@@ -441,7 +444,7 @@ fn transport_axis_is_bit_identical_across_process_split() {
         for fanout in [16usize, 2] {
             for cache in [0usize, 128] {
                 let transports = [
-                    ("in-process", Transport::InProcess),
+                    ("local", Transport::InProcess),
                     ("unix", rpc(WorkerAddr::Unix, false)),
                     ("tcp", rpc(WorkerAddr::loopback(), false)),
                     ("tcp+z", rpc(WorkerAddr::loopback(), true)),
@@ -451,7 +454,6 @@ fn transport_axis_is_bit_identical_across_process_split() {
                         "shards={shards} fanout={fanout} cache={cache} \
                          transport={transport_name}"
                     );
-                    let in_process = transport == Transport::InProcess;
                     let config = ClusterConfig {
                         shards,
                         replication: false,
@@ -479,43 +481,31 @@ fn transport_axis_is_bit_identical_across_process_split() {
                             assert_eq!(outcome.queue_delays.len(), shards, "{label}");
                             assert!(outcome.failovers.is_empty(), "{label}");
                             if cache == 0 {
-                                assert_eq!(outcome.shard_cache_hits, 0, "{label}");
                                 assert_eq!(outcome.worker_cache_hits(), 0, "{label}");
                             } else if pass == 1 {
                                 // Warm + caching: every non-pruned subtree
-                                // answers from a cache — in-process at the
-                                // root, over RPC inside the workers — so
-                                // nothing is scanned anywhere.
+                                // answers from a node's cache, so nothing
+                                // is scanned anywhere.
                                 assert_eq!(
                                     outcome.stats.rows_scanned, 0,
                                     "{label} warm: no scan may survive a cached pass: {sql}"
                                 );
-                                if in_process {
-                                    assert_eq!(outcome.worker_cache_hits(), 0, "{label}");
-                                } else {
-                                    assert_eq!(outcome.shard_cache_hits, 0, "{label}");
-                                }
                             }
                         }
                         if cache > 0 && pass == 1 {
                             // The unrestricted first query prunes nothing,
                             // so its warm hits are exactly the cache layer
-                            // closest to the root: every shard at the
-                            // in-process root, every frontier node over RPC.
+                            // closest to the root: every frontier node.
                             let outcome = cluster.query(MATRIX_QUERIES[0]).unwrap();
                             let frontier = frontier_width(shards, fanout);
-                            if in_process {
-                                assert_eq!(outcome.shard_cache_hits, shards, "{label}");
-                            } else {
-                                assert_eq!(outcome.worker_cache_hits(), frontier, "{label}");
-                            }
+                            assert_eq!(outcome.worker_cache_hits(), frontier, "{label}");
                         }
                     }
                     if shards == 4 {
-                        // Rebuild-then-requery: the epoch bump (and, over
-                        // RPC, the respawned tree) must retire every cached
-                        // partial — the answers are the new data's, cold
-                        // and then warm again.
+                        // Rebuild-then-requery: the epoch bump and the
+                        // respawned tree must retire every cached partial —
+                        // the answers are the new data's, cold and then
+                        // warm again.
                         cluster.rebuild(&rebuilt_table).unwrap();
                         for pass in 0..2 {
                             for (sql, want) in MATRIX_QUERIES[..3].iter().zip(&rebuilt_expected) {
@@ -543,8 +533,8 @@ fn transport_axis_is_bit_identical_across_process_split() {
 /// filters and virtual-field partial evaluation shipped in the Load acks)
 /// is pure work-avoidance — switching it off may only move scans around,
 /// never change a row. Every matrix query runs cold and warm, with the
-/// layered pruner on and off, over the in-process tree and a real
-/// process-split tree (unix sockets and compressed TCP), and every result
+/// layered pruner on and off, over local links and a real process-split
+/// tree (unix sockets and compressed TCP), and every result
 /// must be **bit-identical** (floats included) to the sequential
 /// single-store answer. The matrix includes `date(timestamp)` drill-downs
 /// (the §5.1 virtual-field path) and gap restrictions the shard envelope
@@ -594,7 +584,7 @@ fn chunk_pruning_axis_is_bit_identical_on_and_off() {
     };
     for chunk_pruning in [true, false] {
         let transports = [
-            ("in-process", Transport::InProcess),
+            ("local", Transport::InProcess),
             ("unix", rpc(WorkerAddr::Unix, false)),
             ("tcp+z", rpc(WorkerAddr::loopback(), true)),
         ];
@@ -644,8 +634,8 @@ fn chunk_pruning_axis_is_bit_identical_on_and_off() {
     }
 }
 
-/// Width of the process tree's frontier (the level the driver root
-/// queries): leaves while they fit the fanout, else the top merge level.
+/// Width of the tree's frontier (the level the driver root queries):
+/// leaves while they fit the fanout, else the top merge level.
 fn frontier_width(shards: usize, fanout: usize) -> usize {
     let fanout = fanout.max(2);
     let mut width = shards.max(1);
