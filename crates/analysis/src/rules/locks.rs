@@ -29,7 +29,6 @@ const BLOCKING_CALLS: &[&str] = &[
     "call_inner",
     "connect",
     "connect_with_retry",
-    "connect_by",
     "write_frame",
     "read_frame",
     "read_frame_negotiated",

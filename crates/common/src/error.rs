@@ -26,15 +26,16 @@ pub enum Error {
 
 /// The RPC failure taxonomy of the distributed tree. Every variant is a
 /// *decision input*: `Deadline` and `PeerGone` are hedge/failover
-/// triggers, `ConnRefused` is the only retryable connect error,
-/// `Decode`/`VersionMismatch` poison the connection without retry, and
-/// `Overloaded` is the admission-control shed signal surfaced to callers.
+/// triggers, `ConnRefused` is a dead peer (retried only while a freshly
+/// spawned worker starts up), `Decode`/`VersionMismatch` poison the
+/// connection without retry, and `Overloaded` is the admission-control
+/// shed signal surfaced to callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
     /// The per-query time budget ran out (locally or at a peer).
     Deadline(String),
-    /// Connect refused — the peer is not (yet) listening; retryable
-    /// with backoff while the budget lasts.
+    /// Connect refused — the peer is not listening: not yet (a worker
+    /// still starting up) or no more (a dead node).
     ConnRefused(String),
     /// A frame or payload failed to decode; the connection is poisoned.
     Decode(String),
@@ -82,12 +83,6 @@ impl RpcError {
             5 => RpcError::Overloaded(message),
             _ => return None,
         })
-    }
-
-    /// Only a refused connect is worth retrying against the same
-    /// address — the peer may simply not be listening yet.
-    pub fn retryable_connect(&self) -> bool {
-        matches!(self, RpcError::ConnRefused(_))
     }
 }
 
@@ -178,8 +173,6 @@ mod tests {
             assert_eq!(back, e);
         }
         assert!(RpcError::from_tag(250, String::new()).is_none());
-        assert!(RpcError::ConnRefused(String::new()).retryable_connect());
-        assert!(!RpcError::Deadline(String::new()).retryable_connect());
         let wrapped: Error = RpcError::Deadline("budget spent".into()).into();
         assert_eq!(wrapped.to_string(), "rpc error: deadline: budget spent");
     }

@@ -50,7 +50,9 @@ use std::time::Duration;
 /// Version 6: the `Delay` request is retired (persistent stragglers are
 /// chaos directives), and addresses gain the `local:` form naming nodes on
 /// a thread of the driver's process.
-pub const FRAME_VERSION: u8 = 6;
+/// Version 7: queries lose the kill list (a dead primary is a chaos `Kill`
+/// directive now), and merge-server child specs lose their unread height.
+pub const FRAME_VERSION: u8 = 7;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

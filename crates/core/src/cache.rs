@@ -382,9 +382,8 @@ impl CachedChunk {
 /// Admission at capacity compares the incoming entry's cost (typically
 /// bytes × measured recompute ns, see [`cost_score`]) with the cheapest
 /// resident's: cheaper entries are rejected, costlier ones evict the
-/// cheapest resident. Entries inserted with the plain [`BoundedCache::put`]
-/// carry cost 0, where the policy degrades to exactly the old FIFO: among
-/// equal costs the victim is the oldest entry.
+/// cheapest resident. Among equal costs the victim is the oldest entry, so
+/// entries inserted at one cost (0, say) are evicted in FIFO order.
 pub struct BoundedCache<K, V> {
     inner: Mutex<BoundedInner<K, V>>,
 }
@@ -446,11 +445,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
                 None
             }
         }
-    }
-
-    /// Insert with cost 0 (pure FIFO admission among such entries).
-    pub fn put(&self, key: K, value: V) {
-        self.put_costed(key, value, 0)
     }
 
     /// Insert with an admission cost: at capacity the incoming entry must
@@ -526,7 +520,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Cache at most `capacity` chunk results (FIFO bound).
+    /// Cache at most `capacity` chunk results (cost-aware bound).
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache { entries: BoundedCache::new(capacity) }
     }
@@ -535,12 +529,8 @@ impl ResultCache {
         self.entries.get(&(signature.to_owned(), chunk))
     }
 
-    pub fn put(&self, signature: &str, chunk: u32, groups: Arc<CachedChunk>) {
-        self.entries.put((signature.to_owned(), chunk), groups);
-    }
-
-    /// [`ResultCache::put`] with cost-aware admission: the entry's score is
-    /// its approximate bytes × the measured time to recompute it.
+    /// Insert with cost-aware admission: the entry's score is its
+    /// approximate bytes × the measured time to recompute it.
     pub fn put_costed(
         &self,
         signature: &str,
@@ -665,10 +655,12 @@ mod tests {
     fn result_cache_round_trip_and_bound() {
         let rc = ResultCache::new(2);
         let groups: Arc<CachedChunk> = Arc::new(CachedChunk::Groups(vec![]));
-        rc.put("sig", 0, groups.clone());
-        rc.put("sig", 1, groups.clone());
+        // Equal bytes and recompute time: equal costs, so FIFO eviction.
+        let recompute = std::time::Duration::ZERO;
+        rc.put_costed("sig", 0, groups.clone(), recompute);
+        rc.put_costed("sig", 1, groups.clone(), recompute);
         assert!(rc.get("sig", 0).is_some());
-        rc.put("sig", 2, groups); // evicts chunk 0 (FIFO)
+        rc.put_costed("sig", 2, groups, recompute); // evicts chunk 0 (FIFO)
         assert!(rc.get("sig", 0).is_none());
         assert!(rc.get("sig", 2).is_some());
         let (hits, misses) = rc.stats();
@@ -678,14 +670,14 @@ mod tests {
     #[test]
     fn distinct_signatures_do_not_collide() {
         let rc = ResultCache::new(8);
-        rc.put("q1", 0, Arc::new(CachedChunk::Groups(vec![])));
+        rc.put_costed("q1", 0, Arc::new(CachedChunk::Groups(vec![])), Default::default());
         assert!(rc.get("q2", 0).is_none());
     }
 
     #[test]
     fn bounded_cache_clear_invalidates_but_keeps_counters() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(4);
-        cache.put(1, 10);
+        cache.put_costed(1, 10, 0);
         assert_eq!(cache.get(&1), Some(10));
         cache.clear();
         assert!(cache.is_empty());
@@ -696,10 +688,11 @@ mod tests {
     #[test]
     fn bounded_cache_put_is_idempotent_per_key() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
-        cache.put(1, 10);
-        cache.put(1, 11); // replaces value, no duplicate FIFO slot
-        cache.put(2, 20);
-        cache.put(3, 30); // evicts key 1 only
+        // Cost 0 throughout: equal costs, so eviction is FIFO.
+        cache.put_costed(1, 10, 0);
+        cache.put_costed(1, 11, 0); // replaces value, no duplicate FIFO slot
+        cache.put_costed(2, 20, 0);
+        cache.put_costed(3, 30, 0); // evicts key 1 only
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1), None);
         assert_eq!(cache.get(&2), Some(20));

@@ -1,12 +1,13 @@
-//! Seeded, link-level fault injection for the §4 computation tree.
+//! Seeded, link-level fault injection for the §4 computation tree — the
+//! one fault injector.
 //!
-//! The [`crate::FailureModel`] kill switch only models one failure shape —
-//! a primary that never answers. Real trees fail in more ways: connections
-//! reset mid-conversation, reply frames arrive torn, workers stall, and
-//! any process (merge servers included) can die mid-query. [`ChaosModel`]
-//! injects all of those, deterministically: every fault is drawn from a
-//! seeded per-(query, node) stream, so a failing run replays bit-for-bit
-//! from its seed.
+//! A tree fails in many shapes: a primary that never answers, connections
+//! that reset mid-conversation, reply frames that arrive torn, workers
+//! that stall, and any process (merge servers included) dying mid-query.
+//! [`ChaosModel`] injects all of those, deterministically: every fault is
+//! drawn from a seeded per-(query, node) stream, so a failing run replays
+//! bit-for-bit from its seed. A dead shard primary is just
+//! `kill_nodes: vec!["l{s}p"]`.
 //!
 //! The injection point is the link itself. The driver draws at most one
 //! [`ChaosFault`] per tree node per query and ships the resulting
@@ -40,7 +41,8 @@ pub enum ChaosFault {
     /// connection die (`PeerGone`) exactly as it would on a real crash,
     /// and later calls are refused.
     Kill,
-    /// Close the connection without replying — a reset mid-conversation.
+    /// Close the connection without serving or answering the query — a
+    /// reset mid-conversation.
     Reset,
     /// Write a truncated reply frame, then close: torn bytes on the wire.
     Torn,
@@ -98,7 +100,7 @@ impl Decode for ChaosDirective {
 /// scheduling, so equal seeds and query sequences inject equal faults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosModel {
-    /// Seed for every draw; independent of the failure stream.
+    /// Seed for every draw.
     pub seed: u64,
     /// Per-(query, node) probability of a mid-query process kill.
     pub kill_probability: f64,
@@ -110,9 +112,9 @@ pub struct ChaosModel {
     pub delay_probability: f64,
     /// `(min, max)` of an injected delay.
     pub delay_range: (Duration, Duration),
-    /// Node names killed on *every* query, deterministically — the chaos
-    /// counterpart of [`crate::FailureModel::kill_primaries`], but aimable
-    /// at any tree node, merge servers included.
+    /// Node names killed on *every* query, deterministically — `l{s}p`
+    /// for shard `s`'s primary, or any other tree node, merge servers
+    /// included.
     pub kill_nodes: Vec<String>,
     /// Node names delayed by the given time on *every* query — persistent
     /// stragglers, the delay counterpart of `kill_nodes`.

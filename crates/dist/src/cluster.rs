@@ -20,14 +20,13 @@
 //! With [`ClusterConfig::replication`] every leaf has a replica node, and
 //! slow primaries are *hedged*: after a delay derived from the observed
 //! queue-delay p95 the replica is raced in parallel and the first answer
-//! wins ([`QueryOutcome::hedges`]). [`FailureModel`] injects primary kills,
-//! which fail over to the replica ([`QueryOutcome::failovers`]) or fail
-//! the query when replication is off, and [`FailureModel::chaos`] drives
-//! the seeded fault injector ([`crate::ChaosModel`]): kills, resets, torn
-//! replies and delays, aimable at any tree node including merge servers.
-//! All draws derive from seeded per-(query, node) streams, so every
-//! injected fault is reproducible regardless of scheduling; latencies are
-//! measured.
+//! wins ([`QueryOutcome::hedges`]). [`ClusterConfig::chaos`] is the one
+//! fault injector ([`ChaosModel`]): kills, resets, torn replies and delays,
+//! aimable at any tree node including merge servers. A dead or faulted
+//! primary fails over to its replica ([`QueryOutcome::failovers`]) through
+//! the same race, or fails the query when replication is off. All draws
+//! derive from seeded per-(query, node) streams, so every injected fault
+//! is reproducible regardless of scheduling; latencies are measured.
 //!
 //! Every query spends one end-to-end budget across the whole tree (each
 //! node decrements it by its own queue delay before fanning out, and an
@@ -39,7 +38,6 @@
 
 use crate::chaos::ChaosModel;
 use crate::process::{resolve_worker_bin, Placement, ProcessTree, TreeConfig, WorkerAddr};
-use pd_common::rng::Rng;
 use pd_common::sync::Mutex;
 use pd_common::{Error, RpcError, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
@@ -129,38 +127,6 @@ impl TreeShape {
     }
 }
 
-/// Deterministic, seeded failure injection for shard primaries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FailureModel {
-    /// Per-(query, shard) probability that the primary replica dies
-    /// mid-subquery.
-    pub primary_fail_probability: f64,
-    /// Shard indices whose primary *always* fails — the deterministic
-    /// kill switch for failover tests.
-    pub kill_primaries: Vec<usize>,
-    /// Seed for the failure draws; independent of the chaos stream.
-    pub seed: u64,
-    /// Link-level fault injection: seeded draws of node kills, connection
-    /// resets, torn replies and delays, targeting *any* tree node by name
-    /// — merge servers included. The inactive default injects nothing.
-    pub chaos: ChaosModel,
-}
-
-impl FailureModel {
-    fn primary_fails(&self, qid: u64, shard: usize) -> bool {
-        if self.kill_primaries.contains(&shard) {
-            return true;
-        }
-        if self.primary_fail_probability <= 0.0 {
-            return false;
-        }
-        // A deterministic per-(seed, query, shard) stream.
-        let mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
-        let mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard as u64);
-        Rng::seed_from_u64(mix).chance(self.primary_fail_probability)
-    }
-}
-
 /// Admission control at the driver: bound how many queries run at once
 /// instead of letting excess load pile onto saturated nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,8 +161,11 @@ pub struct ClusterConfig {
     /// Total byte budget for the uncompressed cache layer, split across
     /// shards (the compressed layer gets half of that again).
     pub cache_budget: usize,
-    /// Primary-failure and chaos injection.
-    pub failures: FailureModel,
+    /// Fault injection: seeded draws of node kills, connection resets,
+    /// torn replies and delays, aimed at any tree node by name (`l{s}p` is
+    /// shard `s`'s primary, `l{s}r` its replica, `m{h}_{i}` a merge
+    /// server). The inactive default injects nothing.
+    pub chaos: ChaosModel,
     /// The computation tree's shape: children per merge server.
     pub tree: TreeShape,
     /// Worker threads for each leaf's chunk scan (0 = `EXEC_THREADS` /
@@ -226,7 +195,7 @@ impl Default for ClusterConfig {
             replication: true,
             build: BuildOptions::default(),
             cache_budget: 256 << 20,
-            failures: FailureModel::default(),
+            chaos: ChaosModel::default(),
             tree: TreeShape::default(),
             threads: 0,
             shard_cache: 1024,
@@ -245,9 +214,8 @@ pub struct Cluster {
     /// `Query` carries it; a node that sees it advance drops its result
     /// cache.
     epoch: AtomicU64,
-    /// Per-query sequence number: the deterministic axis of every failure
-    /// and chaos draw (draws depend on (seed, query, node), never on
-    /// scheduling).
+    /// Per-query sequence number: the deterministic axis of every chaos
+    /// draw (draws depend on (seed, query, node), never on scheduling).
     queries: AtomicU64,
     /// Per-shard `(total queue delay, samples)` measured by the nodes.
     observed_queue: Mutex<Vec<(Duration, u64)>>,
@@ -478,7 +446,7 @@ impl Cluster {
     /// `(seed, query id, node name)`, so setting the same model on a fresh
     /// cluster replays the same faults against the same queries.
     pub fn set_chaos(&mut self, chaos: ChaosModel) {
-        self.config.failures.chaos = chaos;
+        self.config.chaos = chaos;
     }
 
     /// Queries shed by admission control so far.
@@ -581,10 +549,10 @@ impl Cluster {
 
     /// Run `sql` through the tree: the driver is the root — it fans out to
     /// the frontier (leaves or merge servers), folds the answers
-    /// associatively and finalizes. Failure injection ([`FailureModel`])
-    /// decides *here* which primaries are dead for this query; the kill
-    /// list travels down so each leaf's parent skips the primary — the
-    /// same failover code a deadline expiry triggers.
+    /// associatively and finalizes. [`ClusterConfig::chaos`] draws this
+    /// query's faults *here*; the directives travel down and each node
+    /// applies its own, so a faulted primary fails over through the same
+    /// link-level path a real crash or deadline expiry takes.
     pub fn query(&self, sql: &str) -> pd_common::Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
@@ -592,29 +560,15 @@ impl Cluster {
         let analyzed = analyze(&parse_query(sql)?)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
         let shard_count = self.tree.shard_count();
-        let killed: Vec<u64> = (0..shard_count)
-            .filter(|&s| self.config.failures.primary_fails(qid, s))
-            .map(|s| s as u64)
-            .collect();
-        if let (Some(s), false) = (killed.first(), self.config.replication) {
-            // A killed primary without a replica fails the query, naming
-            // the shard, before anything is sent.
-            return Err(Error::Data(format!(
-                "shard {s}: primary replica failed mid-query and replication is disabled"
-            )));
-        }
 
-        // Hedge delay from the observed queue tail; zero disables racing
-        // entirely when there are no replicas to race.
-        let hedge_micros = if self.config.replication {
-            u64::try_from(self.hedge_delay(self.tree.budget()).as_micros()).unwrap_or(u64::MAX)
-        } else {
-            0
-        };
-        let chaos = self.config.failures.chaos.draw(qid, self.tree.node_names());
+        // Hedge delay from the observed queue tail (unread without
+        // replicas to race).
+        let hedge_micros =
+            u64::try_from(self.hedge_delay(self.tree.budget()).as_micros()).unwrap_or(u64::MAX);
+        let chaos = self.config.chaos.draw(qid, self.tree.node_names());
 
         let fan_out_started = Instant::now();
-        let answer = self.tree.query(&analyzed, killed, self.epoch(), hedge_micros, chaos)?;
+        let answer = self.tree.query(&analyzed, self.epoch(), hedge_micros, chaos)?;
         // Measured end-to-end fan-out: leaf hops *and* every merge-server
         // fold above them — time the per-shard reports (stamped by each
         // leaf's immediate parent) cannot see at depth ≥ 2.

@@ -121,7 +121,7 @@ pub(crate) struct ReplyMode {
 /// Chaos sabotage of one reply: the executor stays correct, only this
 /// query's delivery is wrecked.
 pub(crate) enum WireFault {
-    /// Drop the reply: the connection closes without an answer.
+    /// Drop the request unserved: the connection closes without an answer.
     Reset,
     /// Deliver half the reply frame, then close.
     Torn,
@@ -158,6 +158,13 @@ pub(crate) fn run_executor(requests: mpsc::Receiver<Work>) {
         if matches!(work.request, Request::Shutdown) {
             work.reply.send(Response::Ok, mode);
             return;
+        }
+        if matches!(mode.fault, Some(WireFault::Reset)) {
+            // A reset drops the query unserved, so the caller learns of it
+            // at once, whatever the query would have cost to run. The
+            // placeholder response is never delivered.
+            work.reply.send(Response::Ok, mode);
+            continue;
         }
         let response = handle(&mut role, work.request, queued).unwrap_or_else(|e| match e {
             // Typed robustness failures travel as `Fault` so the parent's
@@ -580,7 +587,6 @@ mod tests {
             query: analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
             budget: Duration::from_secs(30),
             hedge_micros: 0,
-            killed: Vec::new(),
             epoch: 1,
             chaos,
             chunk_pruning: true,

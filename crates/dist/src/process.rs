@@ -316,7 +316,7 @@ impl ProcessTree {
                 });
                 let (addr, _) = self.spawn_node(config, &name, &attach)?;
                 servers.push((addr.clone(), name));
-                next.push(ChildSpec::Node { addr, height, metas });
+                next.push(ChildSpec::Node { addr, metas });
             }
             self.merge_levels.push(servers);
             level = next;
@@ -494,8 +494,7 @@ impl ProcessTree {
     /// frontier handles are rebuilt from the top level.
     fn reattach(&mut self, epoch: u64) -> Result<()> {
         let mut level = self.leaf_specs.clone();
-        for (li, servers) in self.merge_levels.iter().enumerate() {
-            let height = (li + 1) as u64;
+        for servers in &self.merge_levels {
             let mut next = Vec::with_capacity(servers.len());
             for ((addr, name), group) in servers.iter().zip(level.chunks(self.fanout)) {
                 let metas: Vec<ShardMeta> =
@@ -509,7 +508,7 @@ impl ProcessTree {
                 });
                 let mut link = Link::new(addr.clone(), self.compress);
                 expect_ack(link.call(&attach, LOAD_TIMEOUT)?, "re-attach")?;
-                next.push(ChildSpec::Node { addr: addr.clone(), height, metas });
+                next.push(ChildSpec::Node { addr: addr.clone(), metas });
             }
             level = next;
         }
@@ -525,16 +524,14 @@ impl ProcessTree {
     }
 
     /// Run one query through the tree: fan out to the frontier, fold in
-    /// frontier order. `killed` carries this query's [`crate::FailureModel`]
-    /// primary kills down to whichever level parents each leaf; `epoch` is
-    /// the driver's current rebuild epoch, which every node checks against
-    /// its result cache before answering; `hedge_micros` is the hedge
-    /// delay for leaf replica races (0 = sequential failover); `chaos`
-    /// carries this query's injected faults down the whole tree.
+    /// frontier order. `epoch` is the driver's current rebuild epoch,
+    /// which every node checks against its result cache before answering;
+    /// `hedge_micros` is the hedge delay for leaf replica races (unread
+    /// without replicas); `chaos` carries this query's injected faults
+    /// down the whole tree.
     pub fn query(
         &self,
         analyzed: &AnalyzedQuery,
-        killed: Vec<u64>,
         epoch: u64,
         hedge_micros: u64,
         chaos: Vec<ChaosDirective>,
@@ -543,7 +540,6 @@ impl ProcessTree {
             query: analyzed.clone(),
             budget: self.budget,
             hedge_micros,
-            killed,
             epoch,
             chaos,
             chunk_pruning: self.chunk_pruning,

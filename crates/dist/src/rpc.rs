@@ -56,8 +56,9 @@
 //! replica cache warming. Failures are typed ([`RpcError`]): transport
 //! faults (`Deadline`, `PeerGone`, `Decode`, `ConnRefused`) let the other
 //! copy win, while application errors from a live worker propagate —
-//! deterministic, so a replica would only repeat them. Refused connects
-//! are retried with bounded exponential backoff and seeded jitter.
+//! deterministic, so a replica would only repeat them. A refused connect
+//! fails at once (only start-up connects retry, with bounded exponential
+//! backoff and seeded jitter), so a dead primary is failed over, not raced.
 //!
 //! **Corruption.** Both sides decode frames with [`pd_common::wire`]'s
 //! checked readers; compressed payloads additionally pass the codec's own
@@ -421,11 +422,9 @@ pub enum ChildSpec {
         replica: Option<Addr>,
         meta: ShardMeta,
     },
-    /// `height` = levels of tree below this node (≥ 1), used to scale the
-    /// caller's timeout; `metas` = every shard in the subtree.
+    /// A merge server; `metas` = every shard in its subtree.
     Node {
         addr: Addr,
-        height: u64,
         metas: Vec<ShardMeta>,
     },
 }
@@ -452,13 +451,9 @@ pub struct QueryRequest {
     /// never a hop that children must time out of serially.
     pub budget: Duration,
     /// The hedge delay in microseconds: how long a parent waits on a leaf
-    /// primary before racing the replica in parallel. `0` disables
-    /// hedging (sequential primary-then-replica failover).
+    /// primary before racing the replica in parallel. Unread at leaves
+    /// without a replica.
     pub hedge_micros: u64,
-    /// Shards whose primaries the [`crate::FailureModel`] killed for this
-    /// query: their parents skip the primary and go straight to the
-    /// replica, the same path a deadline expiry takes.
-    pub killed: Vec<u64>,
     /// The driver's current rebuild epoch. A node holding a cache from an
     /// older epoch drops it before answering — the distributed form of
     /// the root cache's rebuild invalidation.
@@ -576,7 +571,6 @@ impl Encode for Request {
                 query.query.encode(out);
                 query.budget.encode(out);
                 query.hedge_micros.encode(out);
-                query.killed.encode(out);
                 query.epoch.encode(out);
                 query.chaos.encode(out);
                 query.chunk_pruning.encode(out);
@@ -618,7 +612,6 @@ impl Decode for Request {
                 query: AnalyzedQuery::decode(r)?,
                 budget: Duration::decode(r)?,
                 hedge_micros: r.u64()?,
-                killed: Vec::decode(r)?,
                 epoch: r.u64()?,
                 chaos: Vec::decode(r)?,
                 chunk_pruning: bool::decode(r)?,
@@ -644,10 +637,9 @@ impl Encode for ChildSpec {
                 replica.encode(out);
                 meta.encode(out);
             }
-            ChildSpec::Node { addr, height, metas } => {
+            ChildSpec::Node { addr, metas } => {
                 out.push(1);
                 addr.encode(out);
-                height.encode(out);
                 metas.encode(out);
             }
         }
@@ -663,9 +655,7 @@ impl Decode for ChildSpec {
                 replica: Option::decode(r)?,
                 meta: ShardMeta::decode(r)?,
             },
-            1 => {
-                ChildSpec::Node { addr: Addr::decode(r)?, height: r.u64()?, metas: Vec::decode(r)? }
-            }
+            1 => ChildSpec::Node { addr: Addr::decode(r)?, metas: Vec::decode(r)? },
             other => return Err(Error::Data(format!("wire: invalid child-spec tag {other}"))),
         })
     }
@@ -996,8 +986,10 @@ impl CancelToken {
         *self.slot.lock() = Some(Interrupt::Local(wake));
     }
 
-    pub(crate) fn disarm(&self) {
-        self.slot.lock().take();
+    /// Stop watching the finished call; `false` when the slot is already
+    /// empty — a cancel fired during the call (or nothing was armed).
+    pub(crate) fn disarm(&self) -> bool {
+        self.slot.lock().take().is_some()
     }
 }
 
@@ -1070,9 +1062,12 @@ impl RpcClient {
     pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
         let result = self.call_inner(request, timeout);
         // A cancel reaches in-flight calls only: one landing between calls
-        // must not poison the idle connection for the next one.
-        self.cancel.disarm();
-        if result.is_err() {
+        // must not poison the idle connection for the next one. One that
+        // landed after the reply was read, but before this disarm, has
+        // still shut the stream down: the next call must reconnect, not
+        // write into a dead socket and fail a healthy peer.
+        let cancelled = !self.cancel.disarm();
+        if result.is_err() || cancelled {
             self.stream = None;
         }
         result
@@ -1085,7 +1080,15 @@ impl RpcClient {
         // stalled *or trickling* worker expires on time either way.
         let deadline = Instant::now() + timeout.max(Duration::from_millis(1));
         if self.stream.is_none() {
-            self.connect_by(deadline)?;
+            // No retry: the peer was up when the tree was built, so a
+            // refused connect is a dead peer — on a socket as on a local
+            // link — and a crashed primary fails over at once instead of
+            // spending its hedge window on backoff.
+            let stream = self
+                .addr
+                .connect()
+                .map_err(|e| Error::Rpc(io_fault(&format!("rpc: connect to {}", self.addr), &e)))?;
+            self.stream = Some(stream);
         }
         let stream = self
             .stream
@@ -1095,36 +1098,6 @@ impl RpcClient {
         stream.set_write_timeout(Some(budget_left(deadline)?))?;
         write_frame(stream, request, self.compress)?;
         read_frame_deadline::<Response>(stream, deadline)
-    }
-
-    /// Connect within the call deadline. Only a refused connect is
-    /// retried (the peer may be restarting), and only a *bounded* number
-    /// of times — a crashed worker must fail over in milliseconds, not
-    /// block its hedge race for the rest of the budget (connects cannot
-    /// be interrupted by a [`CancelToken`]).
-    fn connect_by(&mut self, deadline: Instant) -> Result<()> {
-        const MAX_CONNECT_ATTEMPTS: u32 = 5;
-        let mut backoff = Duration::from_millis(1);
-        for attempt in 1.. {
-            match self.addr.connect() {
-                Ok(stream) => {
-                    self.stream = Some(stream);
-                    return Ok(());
-                }
-                Err(e) => {
-                    let fault = io_fault(&format!("rpc: connect to {}", self.addr), &e);
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if !fault.retryable_connect()
-                        || left.is_zero()
-                        || attempt >= MAX_CONNECT_ATTEMPTS
-                    {
-                        return Err(Error::Rpc(fault));
-                    }
-                    backoff_sleep(&mut backoff, BACKOFF_CAP, left, &mut self.jitter);
-                }
-            }
-        }
-        unreachable!("the retry loop returns on success or at MAX_CONNECT_ATTEMPTS")
     }
 }
 
@@ -1221,7 +1194,7 @@ impl ChildHandle {
         answer
     }
 
-    /// Query this child, applying the §4 failover rule at leaves: a killed
+    /// Query this child, applying the §4 failover rule at leaves: a dead
     /// or unresponsive primary is replaced by its replica — raced in
     /// parallel after the hedge delay, first answer wins. Without a
     /// replica any transport failure is fatal for the query. An
@@ -1231,11 +1204,9 @@ impl ChildHandle {
     /// *measured* — the parent's wall clock around the call, transport
     /// and hedging included.
     fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
-        // The prune precedes the kill/failover logic deliberately,
-        // mirroring the shard-cache precedent: an answer that never needs
-        // the server treats a dead primary as a non-event (no failover
-        // recorded). Killed shards without replication are still rejected
-        // at the root before any fan-out begins.
+        // The prune precedes the failover logic deliberately: an answer
+        // that never needs the server treats a dead primary as a
+        // non-event (no failover recorded).
         let metas = self.spec.metas();
         let dead = !metas.is_empty()
             && metas.iter().all(|m| {
@@ -1257,7 +1228,7 @@ impl ChildHandle {
         match &self.spec {
             ChildSpec::Node { addr, .. } => {
                 // A merge server inherits the whole remaining budget — it
-                // decrements and forwards it, so no height scaling is
+                // decrements and forwards it, so no per-level timeout is
                 // needed: the budget *is* the end-to-end clock.
                 // pd-analysis: allow(lock-order) -- the client mutex serializes one request/response pair per connection; the guard must span the call
                 match unpack(self.primary.lock().call(&message, budget)?)? {
@@ -1267,54 +1238,15 @@ impl ChildHandle {
             }
             ChildSpec::Leaf { shard, .. } => {
                 let shard = *shard;
-                let killed = request.killed.contains(&shard);
                 let hedged = AtomicBool::new(false);
-                let outcome = match (&self.replica, killed) {
-                    // FailureModel kill without a replica: rejected at
-                    // the root already, but guard the direct path too.
-                    (None, true) => Err(no_replica_fail(
-                        shard,
-                        Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())),
-                    )),
+                let outcome = match &self.replica {
                     // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                    (None, false) => match classify(self.primary.lock().call(&message, budget)) {
+                    None => match classify(self.primary.lock().call(&message, budget)) {
                         LeafOutcome::Answer(answer) => Ok((answer, false)),
                         LeafOutcome::Fatal(e) => Err(e),
                         LeafOutcome::Failed(e) => Err(no_replica_fail(shard, e)),
                     },
-                    // A killed primary is simply never contacted — the
-                    // replica serves alone, same as a lost race.
-                    (Some(replica), true) => {
-                        // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                        match classify(replica.lock().call(&message, budget)) {
-                            LeafOutcome::Answer(answer) => Ok((answer, true)),
-                            LeafOutcome::Fatal(e) => Err(e),
-                            LeafOutcome::Failed(e) => Err(both_failed(
-                                shard,
-                                Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())),
-                                e,
-                            )),
-                        }
-                    }
-                    // Hedging disabled: the old sequential failover, with
-                    // the replica living on whatever budget remains.
-                    (Some(replica), false) if request.hedge_micros == 0 => {
-                        // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                        match classify(self.primary.lock().call(&message, budget)) {
-                            LeafOutcome::Answer(answer) => Ok((answer, false)),
-                            LeafOutcome::Fatal(e) => Err(e),
-                            LeafOutcome::Failed(pe) => {
-                                let left = budget.saturating_sub(started.elapsed());
-                                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                                match classify(replica.lock().call(&message, left)) {
-                                    LeafOutcome::Answer(answer) => Ok((answer, true)),
-                                    LeafOutcome::Fatal(e) => Err(e),
-                                    LeafOutcome::Failed(re) => Err(both_failed(shard, pe, re)),
-                                }
-                            }
-                        }
-                    }
-                    (Some(replica), false) => self.race(replica, &message, request, &hedged, shard),
+                    Some(replica) => self.race(replica, &message, request, &hedged, shard),
                 };
                 let (mut answer, failover) = outcome?;
                 let elapsed = started.elapsed();
@@ -1542,7 +1474,6 @@ mod tests {
                     },
                     ChildSpec::Node {
                         addr: Addr::Tcp("127.0.0.1:9000".into()),
-                        height: 2,
                         metas: vec![sample_meta(), sample_meta()],
                     },
                     ChildSpec::Leaf {
@@ -1561,7 +1492,6 @@ mod tests {
                 query: analyzed("SELECT COUNT(*) FROM t WHERE k IN ('a','b')"),
                 budget: Duration::from_millis(250),
                 hedge_micros: 1500,
-                killed: vec![1, 3],
                 epoch: 7,
                 chaos: vec![
                     crate::chaos::ChaosDirective {
@@ -1737,7 +1667,6 @@ mod tests {
             query: analyzed("SELECT COUNT(*) FROM t WHERE k = 'absent'"),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
-            killed: Vec::new(),
             epoch: 1,
             chaos: Vec::new(),
             chunk_pruning: false,
@@ -1755,7 +1684,6 @@ mod tests {
             query: analyzed("SELECT COUNT(*) FROM t WHERE k = 'x'"),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
-            killed: Vec::new(),
             epoch: 1,
             chaos: Vec::new(),
             chunk_pruning: true,

@@ -25,8 +25,8 @@
 //!   eviction can therefore change [`pd_core::ScanStats`], never results.
 //!
 //! Admission/eviction bookkeeping reuses [`pd_core::BoundedCache`] — the
-//! same cost-aware bounded machinery as the chunk-result cache. Callers
-//! that observed how long the partial took to compute use `put_costed`,
+//! same cost-aware bounded machinery as the chunk-result cache. Every
+//! insert carries how long the partial took to compute (`put_costed`),
 //! scoring entries by `bytes × recompute ns`
 //! ([`pd_core::cost_score`]) so a full cache keeps the partials that are
 //! most expensive to regenerate.
@@ -126,13 +126,9 @@ impl WorkerCache {
         self.entries.get_borrowed(signature)
     }
 
-    pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>) {
-        self.entries.put(signature.to_owned(), entry);
-    }
-
-    /// [`put`](WorkerCache::put) with an observed recompute cost
-    /// (`partial bytes × recompute ns`), so capacity pressure evicts the
-    /// subtree answers that are cheapest to regenerate.
+    /// Insert with an observed recompute cost (`partial bytes × recompute
+    /// ns`), so capacity pressure evicts the subtree answers that are
+    /// cheapest to regenerate.
     pub fn put_costed(&self, signature: &str, entry: Arc<CachedSubtree>, recompute: Duration) {
         let cost = cost_score(entry.partial.approx_bytes(), recompute);
         self.entries.put_costed(signature.to_owned(), entry, cost);
@@ -271,7 +267,7 @@ mod tests {
             stats: ScanStats::default(),
             reports: Vec::new(),
         };
-        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer)));
+        cache.put_costed("sig-a", Arc::new(CachedSubtree::capture(&answer)), Duration::ZERO);
         assert!(cache.get("sig-a").is_some());
         assert!(cache.get("sig-b").is_none());
         assert_eq!(cache.stats(), (1, 1));

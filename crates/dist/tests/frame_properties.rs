@@ -105,7 +105,6 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 query: analyze(&parse_query(sql).unwrap()).unwrap(),
                 budget: Duration::from_nanos(rng.next_u64() % 1_000_000_000),
                 hedge_micros: rng.next_u64() % 1_000_000,
-                killed: (0..rng.range_usize(0, 5)).map(|_| rng.next_u64() % 8).collect(),
                 epoch: rng.next_u64(),
                 chaos,
                 chunk_pruning: rng.next_u64().is_multiple_of(2),

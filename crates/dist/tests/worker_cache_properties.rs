@@ -251,7 +251,6 @@ fn epoch_bump_drops_a_node_cache() {
                 query: analyzed.clone(),
                 budget: Duration::from_secs(30),
                 hedge_micros: 0,
-                killed: Vec::new(),
                 epoch,
                 chaos: Vec::new(),
                 chunk_pruning: true,

@@ -7,9 +7,7 @@
 //! ```
 
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::{
-    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, FailureModel, WorkloadSpec,
-};
+use powerdrill::dist::{ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, WorkloadSpec};
 use powerdrill::sql::{distributed_plan, parse_query};
 use powerdrill::BuildOptions;
 use std::time::Duration;
@@ -30,13 +28,10 @@ fn main() -> powerdrill::Result<()> {
             build,
             // Each node stalls 5-40 ms on 5% of queries; replicas race the
             // stalled primaries once the hedge delay passes.
-            failures: FailureModel {
-                chaos: ChaosModel {
-                    seed: 1,
-                    delay_probability: 0.05,
-                    delay_range: (Duration::from_millis(5), Duration::from_millis(40)),
-                    ..Default::default()
-                },
+            chaos: ChaosModel {
+                seed: 1,
+                delay_probability: 0.05,
+                delay_range: (Duration::from_millis(5), Duration::from_millis(40)),
                 ..Default::default()
             },
             ..Default::default()

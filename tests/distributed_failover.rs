@@ -1,14 +1,14 @@
 //! Failure-injection tests for the §4 serving tree, over local links and
 //! over real worker processes (unix sockets) — the same tree code either
-//! way. A shard primary killed mid-fan-out must fail over to its
-//! replication peer with the *same* result (the replica holds the same
-//! partition), record the failover in the outcome, and — because failures
-//! are drawn from seeded per-(query, shard) streams — reproduce exactly
-//! across runs.
+//! way. Every fault comes from the one injector, [`ChaosModel`]. A shard
+//! primary killed mid-fan-out must fail over to its replication peer with
+//! the *same* result (the replica holds the same partition), record the
+//! failover in the outcome, and — because faults are drawn from seeded
+//! per-(query, node) streams — reproduce exactly across runs.
 
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::{
-    ChaosModel, Cluster, ClusterConfig, FailureModel, QueryOutcome, RpcConfig, Transport, TreeShape,
+    ChaosModel, Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape,
 };
 use powerdrill::{BuildOptions, DataStore};
 use std::time::Duration;
@@ -45,6 +45,15 @@ fn links(budget: Duration) -> [(&'static str, Transport); 2] {
     [("local", Transport::InProcess), ("unix", rpc_transport(budget))]
 }
 
+/// A chaos model under which the primaries of `shards` are dead: each is
+/// killed on the first query that reaches it and refuses every later one.
+fn dead_primaries(shards: &[usize]) -> ChaosModel {
+    ChaosModel {
+        kill_nodes: shards.iter().map(|s| format!("l{s}p")).collect(),
+        ..Default::default()
+    }
+}
+
 /// The failovers dead primaries caused. Hedging is live on every link, so
 /// on a loaded machine a healthy primary can also lose a race to its
 /// replica — a failover that is recorded as hedged too. A dead primary is
@@ -54,7 +63,7 @@ fn dead_primary_failovers(outcome: &QueryOutcome) -> Vec<usize> {
 }
 
 fn cluster_with(
-    failures: FailureModel,
+    chaos: ChaosModel,
     replication: bool,
     fanout: usize,
     transport: &Transport,
@@ -65,7 +74,7 @@ fn cluster_with(
         &ClusterConfig {
             shards: 3,
             replication,
-            failures,
+            chaos,
             build: build_options(),
             tree: TreeShape { fanout },
             transport: transport.clone(),
@@ -82,13 +91,12 @@ fn killed_primary_fails_over_with_identical_results() {
     let store = DataStore::build(&table, &build).unwrap();
     for (link, transport) in links(Duration::from_secs(30)) {
         for kill in [vec![1usize], vec![0, 2], vec![0, 1, 2, 3]] {
-            let failures = FailureModel { kill_primaries: kill.clone(), ..Default::default() };
             let cluster = Cluster::build(
                 &table,
                 &ClusterConfig {
                     shards: 4,
                     replication: true,
-                    failures,
+                    chaos: dead_primaries(&kill),
                     shard_cache: 0,
                     build: build.clone(),
                     transport: transport.clone(),
@@ -120,9 +128,8 @@ fn killed_primary_fails_over_with_identical_results() {
 #[test]
 fn failure_without_replication_fails_the_query() {
     for (link, transport) in links(Duration::from_secs(30)) {
-        let killed = FailureModel { kill_primaries: vec![2], ..Default::default() };
         // No replica to fall back to.
-        let cluster = cluster_with(killed, false, 16, &transport);
+        let cluster = cluster_with(dead_primaries(&[2]), false, 16, &transport);
         let message = cluster.query(QUERIES[0]).unwrap_err().to_string();
         assert!(
             message.contains("shard 2") && message.contains("replication"),
@@ -131,27 +138,30 @@ fn failure_without_replication_fails_the_query() {
         // A query untouched by failures... does not exist: the kill switch
         // is per shard, so every query dies. Dropping the kill restores
         // service.
-        let healthy = cluster_with(FailureModel::default(), false, 16, &transport);
+        let healthy = cluster_with(ChaosModel::default(), false, 16, &transport);
         assert!(healthy.query(QUERIES[0]).is_ok(), "{link}");
     }
 }
 
+/// Every node — primaries and replicas alike — resets its connection on a
+/// seeded 40% of queries. A reset primary fails over to its replica; a
+/// shard whose two copies both reset fails the query with a typed rpc
+/// error. Each answer is exact, and the log of failovers and errors (`None`)
+/// is the draws', identical across runs and links.
 #[test]
 fn seeded_failures_are_reproducible_and_correct() {
+    use powerdrill::Error;
+
     let table = generate_logs(&LogsSpec::scaled(1_200));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
-    let run = |transport: &Transport| -> Vec<Vec<usize>> {
+    let run = |transport: &Transport| -> Vec<Option<Vec<usize>>> {
         let cluster = Cluster::build(
             &table,
             &ClusterConfig {
                 shards: 4,
                 replication: true,
-                failures: FailureModel {
-                    primary_fail_probability: 0.4,
-                    seed: 0xdead,
-                    ..Default::default()
-                },
+                chaos: ChaosModel { seed: 0xdead, reset_probability: 0.4, ..Default::default() },
                 shard_cache: 0,
                 build: build.clone(),
                 transport: transport.clone(),
@@ -163,9 +173,19 @@ fn seeded_failures_are_reproducible_and_correct() {
         for round in 0..5 {
             for sql in QUERIES {
                 let (expect, _) = powerdrill::query(&store, sql).unwrap();
-                let outcome = cluster.query(sql).unwrap();
-                assert_eq!(outcome.result, expect, "round {round}: {sql}");
-                failover_log.push(dead_primary_failovers(&outcome));
+                match cluster.query(sql) {
+                    Ok(outcome) => {
+                        assert_eq!(outcome.result, expect, "round {round}: {sql}");
+                        failover_log.push(Some(dead_primary_failovers(&outcome)));
+                    }
+                    Err(err) => {
+                        assert!(
+                            matches!(err, Error::Rpc(_)),
+                            "round {round}: a lost shard is a typed rpc error: {err}"
+                        );
+                        failover_log.push(None);
+                    }
+                }
             }
         }
         failover_log
@@ -174,14 +194,15 @@ fn seeded_failures_are_reproducible_and_correct() {
     let a = run(&local);
     assert_eq!(a, run(&local), "equal seeds and query sequences must fail over identically");
     assert_eq!(a, run(&unix), "the failover pattern is the draws', not the link's");
-    let total: usize = a.iter().map(Vec::len).sum();
+    assert!(a.contains(&None), "some shard must lose both copies to a reset");
+    let total: usize = a.iter().flatten().map(Vec::len).sum();
     assert!(total > 0, "probability 0.4 over 80 subqueries must inject failures");
     assert!(total < 80, "...but not kill everything");
 }
 
 /// A primary that straggles far past the hedge delay — a chaos delay
 /// emitted on every query — must produce the **identical** rows as a
-/// `FailureModel` kill of the same shard: the hedged replica race answers
+/// chaos kill of the same shard: the hedged replica race answers
 /// from the replica, which holds the same partition, and the straggler's
 /// sleep is cut short when it loses. The hedge answers early: the
 /// straggler's recorded latency stays well under the query budget.
@@ -207,32 +228,25 @@ fn straggling_primary_is_hedged_identically_to_a_kill() {
         // levels.
         for fanout in [16usize, 2] {
             let label = format!("{link} fanout={fanout}");
-            let cluster_config = |failures: FailureModel| ClusterConfig {
+            let cluster_config = |chaos: ChaosModel| ClusterConfig {
                 shards: 3,
                 replication: true,
-                failures,
+                chaos,
                 build: build.clone(),
                 tree: TreeShape { fanout },
                 transport: transport.clone(),
                 ..Default::default()
             };
 
-            // Baseline: the existing failure-injection path (simulated
-            // kill).
-            let killed = Cluster::build(
-                &table,
-                &cluster_config(FailureModel {
-                    kill_primaries: vec![slow_shard],
-                    ..Default::default()
-                }),
-            )
-            .unwrap();
+            // Baseline: shard 1's primary is dead.
+            let killed =
+                Cluster::build(&table, &cluster_config(dead_primaries(&[slow_shard]))).unwrap();
 
-            // The real thing: a healthy FailureModel, but shard 1's
-            // primary answers every query 20 s late. One clean query first
-            // warms the hedge delay from measured queue delays.
+            // The straggler: no node dies, but shard 1's primary answers
+            // every query 20 s late. One clean query first warms the hedge
+            // delay from measured queue delays.
             let mut delayed =
-                Cluster::build(&table, &cluster_config(FailureModel::default())).unwrap();
+                Cluster::build(&table, &cluster_config(ChaosModel::default())).unwrap();
             delayed.query(QUERIES[3]).unwrap();
             delayed.set_chaos(straggler.clone());
 
@@ -328,10 +342,10 @@ fn budget_expiry_without_replication_fails_the_query() {
     .unwrap();
     let analyzed =
         powerdrill::sql::analyze(&powerdrill::sql::parse_query(QUERIES[0]).unwrap()).unwrap();
-    tree.query(&analyzed, Vec::new(), 1, 0, Vec::new()).unwrap(); // healthy first
+    tree.query(&analyzed, 1, 0, Vec::new()).unwrap(); // healthy first
     let started = std::time::Instant::now();
     let slow = vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(budget * 40) }];
-    let err = tree.query(&analyzed, Vec::new(), 1, 0, slow).unwrap_err();
+    let err = tree.query(&analyzed, 1, 0, slow).unwrap_err();
     check("local", err.to_string());
     assert!(started.elapsed() < budget * 10, "the budget bounds the wait: {:?}", started.elapsed());
 }
@@ -395,8 +409,7 @@ fn failover_and_shard_cache_compose() {
     // frontier hold the folded subtree partials, a killed leaf primary
     // beneath them is a non-event; a miss fails over as usual.
     for (link, transport) in links(Duration::from_secs(30)) {
-        let killed = FailureModel { kill_primaries: vec![0], ..Default::default() };
-        let cluster = cluster_with(killed, true, 2, &transport);
+        let cluster = cluster_with(dead_primaries(&[0]), true, 2, &transport);
         let sql = QUERIES[0];
         let cold = cluster.query(sql).unwrap();
         assert_eq!(dead_primary_failovers(&cold), vec![0], "{link}");
